@@ -27,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/sharedmem"
-	"repro/internal/threadcache"
 	"repro/internal/transport"
 )
 
@@ -37,17 +36,15 @@ func main() {
 	listen := flag.String("listen", ":7441", "TCP listen address")
 	arena := flag.Int("arena", 0, "shared-memory arena size in bytes (0 = heap)")
 	arch := flag.String("arch", "sun4", "architecture name selecting the shared-memory protocol")
-	noCache := flag.Bool("no-thread-cache", false, "disable thread caching (E1 ablation)")
 	shards := flag.Int("shards", 0, "store lock-stripe count, rounded up to a power of two (0 = default)")
 	batchMax := flag.Int("batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
 	batchBytes := flag.Int("batch-bytes", 0, "max encoded bytes per rpc batch frame (0 = default 64KiB)")
 	batchLinger := flag.Duration("batch-linger", 0, "upper bound a queued response waits for batch companions (0 = default 100µs)")
-	idleTimeout := flag.Duration("idle-timeout", 15*time.Second, "close connections silent for this long (0 = never; rpc clients heartbeat when their receive side goes quiet, so only legacy raw-wire clients with long blocking waits need this off)")
+	idleTimeout := flag.Duration("idle-timeout", 15*time.Second, "close connections silent for this long (0 = never; rpc clients heartbeat when their receive side goes quiet, so only clients that send no heartbeats and make long blocking waits need this off)")
 	dataDir := flag.String("data-dir", "", "directory for durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -debug-addr")
 	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose handling takes at least this long in the slow-request log (/slowz); 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests into /tracez (1 = all, 0 = none); requests a memo server already sampled are always traced through")
 	traceRing := flag.Int("trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
@@ -58,9 +55,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "folderserverd: -host is required")
 		os.Exit(2)
 	}
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
-	}
 	var opts []folder.Option
 	if *arena > 0 {
 		opts = append(opts, folder.WithArena(sharedmem.New(*arch, *arena)))
@@ -69,7 +63,6 @@ func main() {
 		opts = append(opts, folder.WithShards(*shards))
 	}
 	pol := rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes, Linger: *batchLinger}
-	cache := threadcache.Config{Disable: *noCache}
 	var slow *obs.SlowLog
 	if *slowThreshold > 0 {
 		slow = obs.NewSlowLog(*slowThreshold, 0)
@@ -90,7 +83,7 @@ func main() {
 			log.Fatalf("folderserverd: %v", err)
 		}
 		dcfg := durable.Config{Sync: syncMode, SnapshotEvery: *snapshotEvery}
-		srv, err = folder.OpenServer(*id, *host, *dataDir, dcfg, cache, opts, srvOpts...)
+		srv, err = folder.OpenServer(*id, *host, *dataDir, dcfg, opts, srvOpts...)
 		if err != nil {
 			log.Fatalf("folderserverd: %v", err)
 		}
@@ -98,7 +91,7 @@ func main() {
 		log.Printf("folderserverd: recovered %d memos, %d hidden delayed values, %d folders from %s",
 			st.MemoCount(), st.DelayedCount(), st.FolderCount(), *dataDir)
 	} else {
-		srv = folder.NewServer(*id, *host, folder.NewStore(opts...), cache, srvOpts...)
+		srv = folder.NewServer(*id, *host, folder.NewStore(opts...), srvOpts...)
 	}
 	srv.RegisterMetrics(obs.Default)
 

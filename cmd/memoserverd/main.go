@@ -28,7 +28,6 @@ import (
 	"repro/internal/memoserver"
 	"repro/internal/obs"
 	"repro/internal/rpc"
-	"repro/internal/threadcache"
 	"repro/internal/transport"
 )
 
@@ -68,7 +67,6 @@ func main() {
 	listen := flag.String("listen", ":7440", "TCP listen address")
 	peers := peerMap{}
 	flag.Var(peers, "peer", "logical-host=tcp-addr mapping (repeatable)")
-	noCache := flag.Bool("no-thread-cache", false, "disable thread caching (E1 ablation)")
 	batchMax := flag.Int("batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
 	batchBytes := flag.Int("batch-bytes", 0, "max encoded bytes per rpc batch frame (0 = default 64KiB)")
 	batchLinger := flag.Duration("batch-linger", 0, "upper bound a queued request waits for batch companions (0 = default 100µs)")
@@ -80,7 +78,6 @@ func main() {
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
 	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -debug-addr")
 	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose dispatch takes at least this long in the slow-request log (/slowz); 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests (1 = all, 0.01 = every 100th, 0 = none); sampled requests collect per-layer spans at every hop into /tracez. Requests another node sampled are always traced through")
 	traceRing := flag.Int("trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
@@ -90,9 +87,6 @@ func main() {
 	if *host == "" {
 		fmt.Fprintln(os.Stderr, "memoserverd: -host is required")
 		os.Exit(2)
-	}
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
 	}
 	if !flagSet("idle-timeout") {
 		// Keep the read deadline consistent with the probe rate: without
@@ -119,9 +113,7 @@ func main() {
 	mt := &mappedTransport{inner: tcp, listen: *listen, peers: peers}
 	node := memoserver.NewWithDialer(*host, mt,
 		memoserver.Config{
-			Cache:       threadcache.Config{Disable: *noCache},
-			FolderCache: threadcache.Config{Disable: *noCache},
-			Batch:       rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes, Linger: *batchLinger},
+			Batch: rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes, Linger: *batchLinger},
 			Resilience: rpc.Resilience{
 				Heartbeat: *heartbeat,
 				Redial:    transport.Backoff{Min: *redialMin},

@@ -9,10 +9,11 @@ import (
 	"repro/internal/transferable"
 )
 
-// E1ThreadCache reproduces Fig. 1's intra-machine serving behaviour: with
-// thread caching on, a stream of requests is served by a small number of
-// cached threads; with it off, every request spawns a fresh one, and
-// latency rises.
+// E1ThreadCache reproduces Fig. 1's intra-machine serving behaviour over
+// the real stack: every request's dispatch runs on a thread of the memo
+// server's cache, folder op included. With caching on, a stream of requests
+// is served by a small number of cached threads; with it off, every request
+// spawns a fresh one.
 func E1ThreadCache(cfg Config) (*Table, error) {
 	const adfText = `APP e1
 HOSTS
@@ -26,7 +27,7 @@ PPC
 	ops := cfg.scale(2000, 20000)
 	run := func(disable bool) (threadcache.Stats, time.Duration, error) {
 		c, err := cluster.BootADF(adfText, cluster.Options{
-			FolderCache: threadcache.Config{Disable: disable, IdleTimeout: 50 * time.Millisecond},
+			Cache: threadcache.Config{Disable: disable, IdleTimeout: 50 * time.Millisecond},
 		})
 		if err != nil {
 			return threadcache.Stats{}, 0, err
@@ -37,6 +38,8 @@ PPC
 			return threadcache.Stats{}, 0, err
 		}
 		k := m.NamedKey("hot")
+		node, _ := c.Node("a")
+		before := node.CacheStats()
 		start := time.Now()
 		for i := 0; i < ops; i++ {
 			if err := m.Put(k, transferable.Int64(int64(i))); err != nil {
@@ -47,9 +50,12 @@ PPC
 			}
 		}
 		elapsed := time.Since(start)
-		node, _ := c.Node("a")
-		fs, _ := node.LocalFolderServer("e1", 0)
-		return fs.CacheStats(), elapsed, nil
+		after := node.CacheStats()
+		return threadcache.Stats{
+			Spawned: after.Spawned - before.Spawned,
+			Reused:  after.Reused - before.Reused,
+			Retired: after.Retired - before.Retired,
+		}, elapsed, nil
 	}
 
 	cached, cachedTime, err := run(false)
@@ -63,7 +69,7 @@ PPC
 	reqs := int64(2 * ops)
 	t := &Table{
 		ID:    "E1",
-		Title: "Thread caching at the folder server (Fig. 1, §4.1)",
+		Title: "Thread caching at the memo server (Fig. 1, §4.1)",
 		Claim: "cached threads serve repeat requests; caching avoids per-request spawn cost",
 		Columns: []string{
 			"mode", "requests", "threads spawned", "served by cached", "us/op",

@@ -35,10 +35,9 @@ type Options struct {
 	BaseLatency time.Duration
 	// BytesPerLatency models link bandwidth (see transport.NetModel).
 	BytesPerLatency int
-	// Cache configures memo-server thread caches.
+	// Cache configures memo-server thread caches, which run every
+	// request's dispatch (experiment E1 toggles it).
 	Cache threadcache.Config
-	// FolderCache configures folder-server thread caches.
-	FolderCache threadcache.Config
 	// Lambda is the placement topology attenuation (§5, experiment E5).
 	Lambda float64
 	// Arena, when positive, backs each folder server's memos with a
@@ -146,7 +145,6 @@ func Boot(f *adf.File, opts Options) (*Cluster, error) {
 func (c *Cluster) startNode(host string) (*memoserver.Node, error) {
 	cfg := memoserver.Config{
 		Cache:        c.opts.Cache,
-		FolderCache:  c.opts.FolderCache,
 		Lambda:       c.opts.Lambda,
 		Arena:        c.opts.Arena,
 		FolderShards: c.opts.FolderShards,

@@ -13,10 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Server is one folder server: a Store, a thread cache, and the wire
-// protocol. A Server is driven either directly (Handle, used by the local
-// memo server — the Fig. 1 same-host path) or by Serve over a transport
-// listener (the standalone folderserverd deployment).
+// Server is one folder server: a Store and the wire protocol. A Server is
+// driven either directly (Handle, called by the local memo server on its
+// own dispatching thread — the Fig. 1 same-host path) or by Serve over a
+// transport listener (the standalone folderserverd deployment), which
+// dispatches through the server's own thread cache.
 type Server struct {
 	// ID is the ADF folder-server number.
 	ID int
@@ -24,6 +25,8 @@ type Server struct {
 	Host string
 
 	store *Store
+	// pool is the thread cache Serve dispatches through; a server embedded
+	// in a memo server never submits to it, so its counters stay zero.
 	pool  *threadcache.Pool
 	batch rpc.Policy
 	// slow, when non-nil, records request spans at or over its threshold.
@@ -67,14 +70,13 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = tr }
 }
 
-// NewServer wraps a store. cache configures the thread cache (§4.1); the
-// zero Config gives defaults, Config{Disable: true} is the E1 ablation.
-func NewServer(id int, host string, store *Store, cache threadcache.Config, opts ...ServerOption) *Server {
+// NewServer wraps a store.
+func NewServer(id int, host string, store *Store, opts ...ServerOption) *Server {
 	s := &Server{
 		ID:    id,
 		Host:  host,
 		store: store,
-		pool:  threadcache.New(cache),
+		pool:  threadcache.New(threadcache.Config{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -87,13 +89,13 @@ func NewServer(id int, host string, store *Store, cache threadcache.Config, opts
 // a durable store from dir and wraps it in a Server that owns it — Close
 // flushes and closes the write-ahead log. storeOpts configure the store
 // (shards, arena, forward hook); opts configure the server.
-func OpenServer(id int, host, dir string, dcfg durable.Config, cache threadcache.Config,
+func OpenServer(id int, host, dir string, dcfg durable.Config,
 	storeOpts []Option, opts ...ServerOption) (*Server, error) {
 	store, err := OpenStore(dir, dcfg, storeOpts...)
 	if err != nil {
 		return nil, err
 	}
-	s := NewServer(id, host, store, cache, opts...)
+	s := NewServer(id, host, store, opts...)
 	s.ownsStore = true
 	return s, nil
 }
@@ -101,7 +103,8 @@ func OpenServer(id int, host, dir string, dcfg durable.Config, cache threadcache
 // Store exposes the underlying directory (for stats and direct tests).
 func (s *Server) Store() *Store { return s.store }
 
-// CacheStats reports thread-cache counters (experiment E1).
+// CacheStats reports the counters of the thread cache Serve dispatches
+// through; they stay zero for a server embedded in a memo server.
 func (s *Server) CacheStats() threadcache.Stats { return s.pool.Stats() }
 
 // Close retires the thread cache and, for a server that owns its store
@@ -124,13 +127,14 @@ func (s *Server) Crash() {
 
 // Handle executes one request against this folder server. Blocking
 // operations respect cancel. The caller provides its own concurrency: the
-// memo server submits Handle calls through this server's thread cache via
-// Submit. With a slow log attached and enabled, each request is timed as
-// one span (the Enabled check is a single atomic load, so a disabled log
-// costs no time.Now on the hot path). A sampled request (one whose dispatch
-// wrapper attached a SpanSet) additionally threads an opTrace through the
-// store and emits folder and durable spans with the shard-lock wait, park
-// time, and group-commit wait it accumulated. With a tracer attached
+// memo server calls Handle on the cached thread already dispatching the
+// request, and Serve calls it on this server's thread cache. With a slow
+// log attached and enabled, each request is timed as one span (the Enabled
+// check is a single atomic load, so a disabled log costs no time.Now on the
+// hot path). A sampled request (one whose dispatch wrapper attached a
+// SpanSet) additionally threads an opTrace through the store and emits
+// folder and durable spans with the shard-lock wait, park time, and
+// group-commit wait it accumulated. With a tracer attached
 // (standalone folderserverd) Handle owns the set itself: it begins one for
 // sampled or sampler-admitted entry requests and finishes it into the
 // tracer's ring, returning the spans on the response for the rpc layer.
@@ -228,21 +232,13 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, ot *opTrace) *w
 	return wire.Errf("folder server: unsupported op %s", q.Op)
 }
 
-// Submit runs task on the server's thread cache ("each request to a server
-// will cause a thread to be created ... thread caching to avoid the
-// overhead").
-func (s *Server) Submit(task func()) error { return s.pool.Submit(task) }
-
-// SubmitArg runs fn(arg) on the server's thread cache — the allocation-free
-// submission path the rpc server dispatches batched requests through.
-func (s *Server) SubmitArg(fn func(any), arg any) error { return s.pool.SubmitArg(fn, arg) }
-
 // Serve accepts connections on l and answers requests until the listener
 // closes. Used by cmd/folderserverd; in the simulated cluster the memo
 // server calls Handle directly. Each virtual connection is driven by the
-// batching rpc server: batched requests dispatch concurrently through the
-// thread cache and responses coalesce into batched frames, while
-// single-frame (pre-batching) peers are still answered in order.
+// batching rpc server: requests dispatch concurrently through the thread
+// cache ("each request to a server will cause a thread to be created ...
+// thread caching to avoid the overhead") and responses coalesce into
+// batched frames.
 func (s *Server) Serve(l transport.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -261,13 +257,13 @@ func (s *Server) serveMux(mux *transport.Mux) {
 		if err != nil {
 			return
 		}
-		if err := s.Submit(func() {
-			_ = rpc.Serve(ch, s.Handle, s.SubmitArg, s.batch)
+		if err := s.pool.Submit(func() {
+			_ = rpc.Serve(ch, s.Handle, s.pool.SubmitArg, s.batch)
 			ch.Close()
 		}); err != nil {
 			// Shutting down. Closing the channel is the whole message: an
 			// rpc peer has no request id to match an unsolicited response
-			// to, and would treat a bare single frame as a protocol error.
+			// to.
 			ch.Close()
 			return
 		}

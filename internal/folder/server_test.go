@@ -5,21 +5,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/symbol"
-	"repro/internal/threadcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-func newTestServer(t *testing.T, cache threadcache.Config) *Server {
+func newTestServer(t *testing.T) *Server {
 	t.Helper()
-	s := NewServer(0, "testhost", NewStore(), cache)
+	s := NewServer(0, "testhost", NewStore())
 	t.Cleanup(s.Close)
 	return s
 }
 
 func TestHandleOps(t *testing.T) {
-	s := newTestServer(t, threadcache.Config{})
+	s := newTestServer(t)
 	k := symbol.K(1)
 	k2 := symbol.K(2)
 
@@ -61,7 +61,7 @@ func TestHandleOps(t *testing.T) {
 }
 
 func TestHandleCanceledGetReportsError(t *testing.T) {
-	s := newTestServer(t, threadcache.Config{})
+	s := newTestServer(t)
 	cancel := make(chan struct{})
 	got := make(chan *wire.Response, 1)
 	go func() {
@@ -82,7 +82,7 @@ func TestHandleCanceledGetReportsError(t *testing.T) {
 // TestServeOverTCP drives the standalone wire-protocol server (the
 // cmd/folderserverd deployment) over a real TCP socket.
 func TestServeOverTCP(t *testing.T) {
-	s := newTestServer(t, threadcache.Config{})
+	s := newTestServer(t)
 	l, err := transport.NewTCP().Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -98,66 +98,59 @@ func TestServeOverTCP(t *testing.T) {
 	go mux.Run()
 	t.Cleanup(func() { mux.Close() })
 
-	do := func(ch *transport.Channel, q *wire.Request) *wire.Response {
+	// Each call travels as a one-entry batch frame — the only framing the
+	// server accepts.
+	c := rpc.NewConn(mux.Channel(1), rpc.Policy{})
+	t.Cleanup(func() { c.Close() })
+	do := func(c *rpc.Conn, q *wire.Request) *wire.Response {
 		t.Helper()
-		if err := ch.Send(wire.EncodeRequest(q)); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := ch.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wire.DecodeResponse(buf)
+		resp, err := c.Call(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
 
-	ch := mux.Channel(1)
 	k := symbol.K(3, 1)
-	if r := do(ch, &wire.Request{Op: wire.OpPut, Key: k, Payload: []byte("tcp")}); r.Status != wire.StatusOK {
+	if r := do(c, &wire.Request{Op: wire.OpPut, Key: k, Payload: []byte("tcp")}); r.Status != wire.StatusOK {
 		t.Fatalf("put: %+v", r)
 	}
-	if r := do(ch, &wire.Request{Op: wire.OpGet, Key: k}); r.Status != wire.StatusOK || string(r.Payload) != "tcp" {
+	if r := do(c, &wire.Request{Op: wire.OpGet, Key: k}); r.Status != wire.StatusOK || string(r.Payload) != "tcp" {
 		t.Fatalf("get: %+v", r)
 	}
 
 	// A malformed request gets an error response, not a dropped channel.
-	if err := ch.Send([]byte{0xFF, 0xFF}); err != nil {
+	raw := mux.Channel(2)
+	if err := raw.Send(wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: []byte{0xFF, 0xFF}}})); err != nil {
 		t.Fatal(err)
 	}
-	buf, err := ch.Recv()
+	buf, err := raw.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.DecodeResponse(buf)
-	if err != nil || resp.Status != wire.StatusErr {
+	kind, entries, err := wire.DecodeBatch(buf)
+	if err != nil || kind != wire.BatchResponse || len(entries) != 1 || entries[0].ID != 1 {
+		t.Fatalf("malformed request reply: %v %+v %v", kind, entries, err)
+	}
+	if resp, err := wire.DecodeResponse(entries[0].Msg); err != nil || resp.Status != wire.StatusErr {
 		t.Fatalf("malformed request response: %+v %v", resp, err)
 	}
 
 	// Concurrent channels against one server.
 	var wg sync.WaitGroup
-	for i := 2; i < 8; i++ {
+	for i := 3; i < 9; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ch := mux.Channel(uint64(i))
+			c := rpc.NewConn(mux.Channel(uint64(i)), rpc.Policy{})
+			defer c.Close()
 			key := symbol.K(symbol.Symbol(i))
 			for j := 0; j < 20; j++ {
-				if err := ch.Send(wire.EncodeRequest(&wire.Request{Op: wire.OpPut, Key: key, Payload: []byte{byte(j)}})); err != nil {
+				if _, err := c.Call(&wire.Request{Op: wire.OpPut, Key: key, Payload: []byte{byte(j)}}, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := ch.Recv(); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := ch.Send(wire.EncodeRequest(&wire.Request{Op: wire.OpGet, Key: key})); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := ch.Recv(); err != nil {
+				if _, err := c.Call(&wire.Request{Op: wire.OpGet, Key: key}, nil); err != nil {
 					t.Error(err)
 					return
 				}

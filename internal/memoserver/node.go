@@ -86,11 +86,9 @@ func (a *App) Program(dir string) ([]byte, bool) {
 
 // Config tunes a Node.
 type Config struct {
-	// Cache configures the memo server's own thread cache.
+	// Cache configures the memo server's thread cache, which runs every
+	// request's dispatch — local folder ops included.
 	Cache threadcache.Config
-	// FolderCache configures the thread caches of folder servers this
-	// node creates at registration.
-	FolderCache threadcache.Config
 	// Lambda is the placement topology attenuation (see placement).
 	Lambda float64
 	// Arena, when positive, allocates a shared-memory arena of that many
@@ -107,11 +105,6 @@ type Config struct {
 	// when a link dies, and bounded transparent retries of safely-
 	// retriable forwarded calls. Zero disables all three.
 	Resilience rpc.Resilience
-	// NoLocalInline disables the local fast path: every local request goes
-	// through the folder server's thread cache, as all requests did before
-	// non-blocking ops were inlined (the benchmark baseline, and the E1
-	// thread-cache-fidelity configuration).
-	NoLocalInline bool
 	// DataDir, when non-empty, makes every folder server this node creates
 	// at registration durable: its store opens from
 	// DataDir/<app>/folder-<id> (recovering whatever a previous incarnation
@@ -357,9 +350,8 @@ func (n *Node) acceptLoop(l transport.Listener) {
 }
 
 // serveMux answers each accepted virtual connection with the batching rpc
-// server: batched requests dispatch concurrently through the node's thread
-// cache, and responses coalesce into batched frames. Single-frame peers
-// (pre-batching clients, raw wire debugging) are still served.
+// server: requests dispatch concurrently through the node's thread cache,
+// and responses coalesce into batched frames.
 func (n *Node) serveMux(mux *transport.Mux) {
 	for {
 		ch, err := mux.Accept()
@@ -372,7 +364,7 @@ func (n *Node) serveMux(mux *transport.Mux) {
 		}); err != nil {
 			// Shutting down. Closing the channel is the whole message: an
 			// rpc peer has no request id to match an unsolicited response
-			// to, and would treat a bare single frame as a protocol error.
+			// to.
 			ch.Close()
 			return
 		}
@@ -436,8 +428,8 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			// own directory; the server owns the store and flushes its log
 			// on Close.
 			dir := filepath.Join(n.cfg.DataDir, f.App, fmt.Sprintf("folder-%d", fs.ID))
-			srv, err := folder.OpenServer(fs.ID, n.Host, dir, n.cfg.Durable, n.cfg.FolderCache,
-				opts, folder.WithBatchPolicy(n.cfg.Batch), folder.WithSlowLog(n.slow))
+			srv, err := folder.OpenServer(fs.ID, n.Host, dir, n.cfg.Durable, opts,
+				folder.WithBatchPolicy(n.cfg.Batch), folder.WithSlowLog(n.slow))
 			if err != nil {
 				for _, s := range app.local {
 					s.Close()
@@ -448,7 +440,7 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			continue
 		}
 		store := folder.NewStore(opts...)
-		app.local[fs.ID] = folder.NewServer(fs.ID, n.Host, store, n.cfg.FolderCache,
+		app.local[fs.ID] = folder.NewServer(fs.ID, n.Host, store,
 			folder.WithBatchPolicy(n.cfg.Batch), folder.WithSlowLog(n.slow))
 	}
 
@@ -584,60 +576,14 @@ func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response 
 			return wire.Errf("memo server %s: folder server %d not local", n.Host, q.FolderID)
 		}
 		n.localOps.Inc()
-		if !n.cfg.NoLocalInline && nonBlockingOp(q.Op) {
-			// Fast path: an op that cannot wait on a folder completes on
-			// the dispatching thread itself, skipping the goroutine
-			// handoff (and reply-channel round trip) through the folder
-			// server's thread cache. The dispatching thread is already a
-			// cached thread of this node, so the paper's thread-per-
-			// request discipline is preserved one layer up.
-			n.inlined.Inc()
-			return fs.Handle(q, cancel)
-		}
-		// Hand the request to the folder server's thread cache: "each
-		// request to a server will cause a thread to be created to handle
-		// the request". The handoff goroutine may outlive this dispatch —
-		// the cancel arm below returns without waiting — while q.Payload
-		// still aliases the rpc layer's read frame, which recycles as soon
-		// as we return; detach the payload first so an abandoned handler
-		// never reads a reused buffer. Blocking ops carry no payload, so
-		// this copies only on the NoLocalInline put path.
-		q.Retain()
-		// The handler goroutine appends spans through the same q.Spans
-		// pointer; pin the set so an abandoned handler (cancel below) can
-		// never race the dispatch wrapper's Finish returning it to the pool.
-		// Nil-safe when the request is unsampled.
-		spans := q.Spans
-		spans.Retain()
-		respCh := make(chan *wire.Response, 1)
-		if err := fs.Submit(func() {
-			resp := fs.Handle(q, cancel)
-			spans.Release()
-			respCh <- resp
-		}); err != nil {
-			spans.Release()
-			return wire.Errf("folder server %d: %v", q.FolderID, err)
-		}
-		select {
-		case resp := <-respCh:
-			return resp
-		case <-cancel:
-			// The folder server observes the same cancel and will
-			// unblock; don't wait for it.
-			return wire.Errf("canceled")
-		}
+		// The dispatching thread is already a cached thread of this node
+		// ("each request to a server will cause a thread to be created to
+		// handle the request"), so the folder op runs right here — a
+		// blocking get parks this thread and honours the same cancel.
+		n.inlined.Inc()
+		return fs.Handle(q, cancel)
 	}
 	return n.forward(app, q, targetHost, cancel)
-}
-
-// nonBlockingOp reports ops that always complete without waiting on a
-// folder, and are therefore safe to run inline on the dispatching thread.
-func nonBlockingOp(op wire.Op) bool {
-	switch op {
-	case wire.OpPut, wire.OpPutDelayed, wire.OpGetSkip, wire.OpPing:
-		return true
-	}
-	return false
 }
 
 // retriableInFlight reports requests safe to re-issue even when the first
@@ -770,11 +716,10 @@ var never = make(chan struct{})
 
 // forwardRelease delivers a put_delayed release to wherever the destination
 // folder lives. It runs asynchronously: the releasing Put must not block on
-// remote delivery, and the destination may even be a folder on the same
-// store (which would deadlock a synchronous call through the thread cache).
-// The release token rides as the deposit's dedup token, and committed fires
-// only on an acknowledged delivery — so the releasing store logs the
-// release done, and a crash-recovered re-delivery deduplicates.
+// remote delivery. The release token rides as the deposit's dedup token,
+// and committed fires only on an acknowledged delivery — so the releasing
+// store logs the release done, and a crash-recovered re-delivery
+// deduplicates.
 func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, relToken uint64, committed func()) {
 	app, ok := n.lookupApp(appName)
 	if !ok {
@@ -800,8 +745,8 @@ func (n *Node) forwardRelease(appName string, dest symbol.Key, payload []byte, r
 type Stats struct {
 	LocalOps int64
 	Forwards int64
-	// Inlined counts local non-blocking ops that took the fast path,
-	// skipping the folder-server thread-cache handoff.
+	// Inlined counts local folder ops run directly on the dispatching
+	// thread — every one of them, since no op hands off to another thread.
 	Inlined int64
 	// Retried counts forwarded calls transparently re-issued after a link
 	// failure.
@@ -850,7 +795,7 @@ func (n *Node) CacheStats() threadcache.Stats { return n.pool.Stats() }
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("node_local_ops_total", "requests resolved on this host", nil, &n.localOps)
 	reg.RegisterCounter("node_forwards_total", "requests forwarded to a peer memo server", nil, &n.forwards)
-	reg.RegisterCounter("node_inlined_total", "local non-blocking ops inlined past the thread cache", nil, &n.inlined)
+	reg.RegisterCounter("node_inlined_total", "local folder ops run on the dispatching thread", nil, &n.inlined)
 	reg.RegisterCounter("node_retried_total", "forwarded calls re-issued after a link failure", nil, &n.retried)
 	reg.RegisterCounter("node_apps_registered_total", "application registrations", nil, &n.registered)
 	reg.RegisterCollector(func(e *obs.Emitter) {

@@ -250,6 +250,60 @@ func TestCancelBlockedRemoteGet(t *testing.T) {
 	}
 }
 
+// TestCancelBlockedLocalGet: a get parked on the node's own folder runs on
+// the dispatching thread; a client cancel still returns promptly, the
+// folder's waiter is withdrawn, and the folder keeps serving.
+func TestCancelBlockedLocalGet(t *testing.T) {
+	tn := bootNet(t, twoHostADF, Config{})
+	c := tn.client(t, "a")
+	fs, ok := tn.nodes["a"].LocalFolderServer(tn.file.App, 0)
+	if !ok {
+		t.Fatal("no local folder server 0 on a")
+	}
+	waiters := func() int {
+		n := 0
+		for i := 0; i < fs.Store().ShardCount(); i++ {
+			n += fs.Store().ShardStats(i).Waiters
+		}
+		return n
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (waiters = %d)", what, waiters())
+			}
+		}
+	}
+
+	k := symbol.K(5)
+	cancel := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Do(req(wire.OpGet, 0, k, nil), cancel)
+		errc <- err
+	}()
+	waitFor("the get to park", func() bool { return waiters() == 1 })
+	close(cancel)
+	select {
+	case err := <-errc:
+		if err != ErrClientCanceled {
+			t.Fatalf("err = %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancel did not unblock the local get")
+	}
+	waitFor("the waiter to be withdrawn", func() bool { return waiters() == 0 })
+
+	if resp, err := c.Do(req(wire.OpPut, 0, k, []byte("after")), nil); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("put: %+v %v", resp, err)
+	}
+	resp, err := c.Do(req(wire.OpGetSkip, 0, k, nil), nil)
+	if err != nil || resp.Status != wire.StatusOK || string(resp.Payload) != "after" {
+		t.Fatalf("get_skip after cancel: %+v %v", resp, err)
+	}
+}
+
 func TestUnknownAppAndFolder(t *testing.T) {
 	tn := bootNet(t, twoHostADF, Config{})
 	c := tn.client(t, "a")

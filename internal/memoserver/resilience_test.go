@@ -7,6 +7,7 @@ import (
 	"repro/internal/adf"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
+	"repro/internal/threadcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -207,70 +208,49 @@ type clientStatusErr struct{ msg string }
 
 func (e *clientStatusErr) Error() string { return e.msg }
 
-// TestLocalFastPathSkipsSubmit: local non-blocking ops run inline on the
-// dispatching thread — the folder server's thread cache sees no traffic —
-// while blocking ops still go through it, and NoLocalInline restores the
-// old handoff for every op.
+// TestLocalFastPathSkipsSubmit: every local folder op — blocking ones
+// included — runs on the node's dispatching thread. The folder server's own
+// thread cache sees no traffic, and each op counts in Stats().Inlined.
 func TestLocalFastPathSkipsSubmit(t *testing.T) {
 	tn := bootNet(t, twoHostADF, Config{})
 	c := tn.client(t, "a")
-	k := symbol.K(5)
-	const n = 16
-	for i := 0; i < n; i++ {
-		if resp, err := c.Do(req(wire.OpPut, 0, k, []byte{byte(i)}), nil); err != nil || resp.Status != wire.StatusOK {
-			t.Fatalf("put %d: %+v %v", i, resp, err)
-		}
-		if resp, err := c.Do(req(wire.OpGetSkip, 0, k, nil), nil); err != nil || resp.Status != wire.StatusOK {
-			t.Fatalf("get_skip %d: %+v %v", i, resp, err)
+	k, k2 := symbol.K(5), symbol.K(6)
+	do := func(q *wire.Request, want wire.Status) {
+		t.Helper()
+		if resp, err := c.Do(q, nil); err != nil || resp.Status != want {
+			t.Fatalf("%s: %+v %v", q.Op, resp, err)
 		}
 	}
+	const n = 4
+	for i := 0; i < n; i++ {
+		do(req(wire.OpPut, 0, k, []byte{byte(i)}), wire.StatusOK)
+		do(req(wire.OpGetCopy, 0, k, nil), wire.StatusOK)
+		do(req(wire.OpGetSkip, 0, k, nil), wire.StatusOK)
+		do(req(wire.OpPut, 0, k, []byte{byte(i)}), wire.StatusOK)
+		do(req(wire.OpGet, 0, k, nil), wire.StatusOK)
+		do(req(wire.OpPut, 0, k2, []byte{byte(i)}), wire.StatusOK)
+		do(&wire.Request{Op: wire.OpWatch, FolderID: 0, Keys: []symbol.Key{k, k2}}, wire.StatusWake)
+		do(&wire.Request{Op: wire.OpAltTake, FolderID: 0, Keys: []symbol.Key{k, k2}}, wire.StatusOK)
+	}
+	const perRound = 8
 	node := tn.nodes["a"]
 	fs, ok := node.LocalFolderServer(tn.file.App, 0)
 	if !ok {
 		t.Fatal("no local folder server 0 on a")
 	}
-	if st := fs.CacheStats(); st.Spawned+st.Reused != 0 {
-		t.Fatalf("folder-server thread cache saw %+v; non-blocking locals were not inlined", st)
+	if st := fs.CacheStats(); st != (threadcache.Stats{}) {
+		t.Fatalf("folder-server thread cache saw %+v; local ops were handed off", st)
 	}
-	if st := node.Stats(); st.Inlined != 2*n {
-		t.Fatalf("Inlined = %d, want %d", st.Inlined, 2*n)
-	}
-
-	// A blocking op still takes the thread-cache handoff (it may park).
-	if _, err := c.Do(req(wire.OpPut, 0, k, []byte("x")), nil); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := c.Do(req(wire.OpGet, 0, k, nil), nil); err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("blocking get: %+v %v", resp, err)
-	}
-	if st := fs.CacheStats(); st.Spawned+st.Reused == 0 {
-		t.Fatal("blocking get bypassed the folder-server thread cache")
+	if st := node.Stats(); st.Inlined != perRound*n || st.LocalOps != perRound*n {
+		t.Fatalf("Inlined = %d, LocalOps = %d, want %d each", st.Inlined, st.LocalOps, perRound*n)
 	}
 }
 
-func TestNoLocalInlineRestoresHandoff(t *testing.T) {
-	tn := bootNet(t, twoHostADF, Config{NoLocalInline: true})
-	c := tn.client(t, "a")
-	k := symbol.K(5)
-	if resp, err := c.Do(req(wire.OpPut, 0, k, []byte("v")), nil); err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("put: %+v %v", resp, err)
-	}
-	node := tn.nodes["a"]
-	fs, _ := node.LocalFolderServer(tn.file.App, 0)
-	if st := fs.CacheStats(); st.Spawned+st.Reused == 0 {
-		t.Fatal("NoLocalInline put bypassed the thread cache")
-	}
-	if st := node.Stats(); st.Inlined != 0 {
-		t.Fatalf("Inlined = %d with NoLocalInline", st.Inlined)
-	}
-}
-
-// BenchmarkNodeLocalFastPath quantifies the inlined local path against the
-// thread-cache handoff baseline, and guards the remote path against
-// regression (remote ops are identical under both configurations).
+// BenchmarkNodeLocalFastPath measures a put+get_skip pair through the
+// client and memo server to a local folder and to one forwarded a hop away.
 func BenchmarkNodeLocalFastPath(b *testing.B) {
-	run := func(b *testing.B, cfg Config, folderID int) {
-		tn := bootNet(b, twoHostADF, cfg)
+	run := func(b *testing.B, folderID int) {
+		tn := bootNet(b, twoHostADF, Config{})
 		c, err := DialClient(tn.sim.DialFrom, "a", tn.file.App)
 		if err != nil {
 			b.Fatal(err)
@@ -289,8 +269,6 @@ func BenchmarkNodeLocalFastPath(b *testing.B) {
 		}
 	}
 	// Folder 0 is local to a; folder 1 forwards to b.
-	b.Run("local/inline", func(b *testing.B) { run(b, Config{}, 0) })
-	b.Run("local/handoff", func(b *testing.B) { run(b, Config{NoLocalInline: true}, 0) })
-	b.Run("remote/inline", func(b *testing.B) { run(b, Config{}, 1) })
-	b.Run("remote/handoff", func(b *testing.B) { run(b, Config{NoLocalInline: true}, 1) })
+	b.Run("local/inline", func(b *testing.B) { run(b, 0) })
+	b.Run("remote/inline", func(b *testing.B) { run(b, 1) })
 }

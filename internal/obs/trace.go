@@ -196,11 +196,10 @@ func (t *Tracer) Begin(q *wire.Request) *wire.SpanSet {
 // with this tracer's, the completed set is recorded into the ring, and a
 // shallow clone of resp carrying the spans is returned for the rpc layer to
 // ship back toward the entry node (resp itself may be the shared immutable
-// OK response, so it is never mutated). q is never written either: an
-// abandoned handler may still be reading q.Spans concurrently — it holds its
-// own reference on the set, and whatever it appends after the copy below is
-// dropped by the last Release, never leaked. The request object itself is
-// fully reset before any reuse (recycleTask / DecodeRequestInto).
+// OK response, so it is never mutated). Every layer that appends to the set
+// runs within the dispatch that called Begin, so the set goes back to the
+// pool here. The request object itself is fully reset before any reuse
+// (recycleTask / DecodeRequestInto).
 func (t *Tracer) Finish(q *wire.Request, set *wire.SpanSet, resp *wire.Response) *wire.Response {
 	if len(resp.Spans) > 0 {
 		set.AddMany(resp.Spans)

@@ -25,9 +25,9 @@
 // entry names the in-flight request id, and the server closes that
 // request's cancel channel.
 //
-// Single (non-batch) frames remain accepted by Serve, answered
-// synchronously in arrival order exactly as the pre-batching servers did,
-// so old peers and raw-wire debugging clients keep working.
+// The batch frame is the only framing on an rpc channel: a lone request
+// travels as a one-entry batch, and a non-batch frame is a protocol error
+// that ends the connection.
 package rpc
 
 import (

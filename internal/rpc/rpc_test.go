@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,77 +275,75 @@ func TestCancelUnblocksServer(t *testing.T) {
 	}
 }
 
-// TestLegacySingleFramePeer drives Serve with raw pre-batching single
-// frames, as an old client (or wire-debugging session) would.
-func TestLegacySingleFramePeer(t *testing.T) {
-	ip := transport.NewInProc()
-	l, err := ip.Listen("srv/rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		mux := transport.NewMux(conn, 4096)
-		go mux.Run()
-		for {
-			ch, err := mux.Accept()
-			if err != nil {
-				return
-			}
-			go Serve(ch, echoHandler, nil, Policy{})
-		}
-	}()
-	conn, err := ip.Dial("srv/rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := transport.NewMux(conn, 4096)
-	go mux.Run()
-	defer mux.Close()
-	ch := mux.Channel(1)
-
+// TestOneEntryBatchRoundTrip drives Serve with one request per frame, as a
+// lone caller (or a wire-debugging session) would: each call is a one-entry
+// batch, answered in order with a one-entry response batch.
+func TestOneEntryBatchRoundTrip(t *testing.T) {
+	c := pipe(t, echoHandler, nil, Policy{MaxCount: 1})
 	for i := 0; i < 3; i++ {
-		payload := []byte{byte(i)}
-		if err := ch.Send(wire.EncodeRequest(&wire.Request{Op: wire.OpPing, Payload: payload})); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := ch.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wire.IsBatchFrame(buf) {
-			t.Fatal("server answered a single frame with a batch frame")
-		}
-		resp, err := wire.DecodeResponse(buf)
+		resp, err := c.Call(&wire.Request{Op: wire.OpPing, Payload: []byte{byte(i)}}, nil)
 		if err != nil || resp.Status != wire.StatusOK || resp.Payload[0] != byte(i) {
-			t.Fatalf("single-frame response: %+v %v", resp, err)
+			t.Fatalf("one-entry batch response: %+v %v", resp, err)
 		}
 	}
-	// Malformed single frames get an error response, not a dead channel.
-	if err := ch.Send([]byte{0xFF, 0xFF}); err != nil {
+	// A malformed lone request gets an error response, not a dead channel.
+	ch := rawChannel(t, echoHandler, nil)
+	if err := ch.Send(wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: []byte{0xFF, 0xFF}}})); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := ch.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.DecodeResponse(buf)
-	if err != nil || resp.Status != wire.StatusErr {
-		t.Fatalf("malformed frame response: %+v %v", resp, err)
+	kind, entries, err := wire.DecodeBatch(buf)
+	if err != nil || kind != wire.BatchResponse || len(entries) != 1 || entries[0].ID != 1 {
+		t.Fatalf("malformed request reply: %v %+v %v", kind, entries, err)
+	}
+	if resp, err := wire.DecodeResponse(entries[0].Msg); err != nil || resp.Status != wire.StatusErr {
+		t.Fatalf("malformed request response: %+v %v", resp, err)
 	}
 }
 
-func TestMalformedBatchEntryGetsErrorResponse(t *testing.T) {
+// TestNonBatchFrameEndsServe: a bare encoded request is not rpc framing.
+// Serve returns a protocol error and sends nothing back.
+func TestNonBatchFrameEndsServe(t *testing.T) {
+	served := make(chan error, 1)
+	ch := rawChannel(t, echoHandler, served)
+	if err := ch.Send(wire.EncodeRequest(&wire.Request{Op: wire.OpPing})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-served:
+		if err == nil || !strings.Contains(err.Error(), "not a batch frame") {
+			t.Fatalf("Serve returned %v, want a non-batch protocol error", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve kept running after a non-batch frame")
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		if buf, err := ch.Recv(); err == nil {
+			got <- buf
+		}
+	}()
+	select {
+	case buf := <-got:
+		t.Fatalf("Serve answered a non-batch frame: % x", buf)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// rawChannel dials a Serve(h) endpoint and returns the bare mux channel, so
+// a test can write frames no Conn would. When served is non-nil it receives
+// Serve's return value.
+func rawChannel(t *testing.T, h Handler, served chan<- error) *transport.Channel {
+	t.Helper()
 	ip := transport.NewInProc()
 	l, err := ip.Listen("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
@@ -356,7 +355,10 @@ func TestMalformedBatchEntryGetsErrorResponse(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Serve(ch, echoHandler, nil, Policy{})
+		err = Serve(ch, h, nil, Policy{})
+		if served != nil {
+			served <- err
+		}
 	}()
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
@@ -364,8 +366,12 @@ func TestMalformedBatchEntryGetsErrorResponse(t *testing.T) {
 	}
 	mux := transport.NewMux(conn, 4096)
 	go mux.Run()
-	defer mux.Close()
-	ch := mux.Channel(1)
+	t.Cleanup(func() { mux.Close() })
+	return mux.Channel(1)
+}
+
+func TestMalformedBatchEntryGetsErrorResponse(t *testing.T) {
+	ch := rawChannel(t, echoHandler, nil)
 	frame := wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{
 		{ID: 9, Msg: []byte{0xFF, 0xFF}},
 		{ID: 10, Msg: wire.EncodeRequest(&wire.Request{Op: wire.OpPing})},

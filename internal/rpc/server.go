@@ -20,11 +20,10 @@ import (
 // deposit copy is exactly that Retain.
 type Handler func(q *wire.Request, cancel <-chan struct{}) *wire.Response
 
-// SubmitFunc runs fn(arg) concurrently — typically threadcache.Pool.SubmitArg
-// or folder.Server.SubmitArg, so batched requests land on the server's
-// thread cache ("each request to a server will cause a thread to be
-// created") without allocating a closure per request. A nil SubmitFunc runs
-// each request on a plain goroutine.
+// SubmitFunc runs fn(arg) concurrently — typically threadcache.Pool.SubmitArg,
+// so requests land on the server's thread cache ("each request to a server
+// will cause a thread to be created") without allocating a closure per
+// request. A nil SubmitFunc runs each request on a plain goroutine.
 type SubmitFunc func(fn func(any), arg any) error
 
 // ServerChannel is the connection Serve drives: a transport.Conn with a
@@ -35,11 +34,12 @@ type ServerChannel interface {
 }
 
 // Serve answers requests on one connection until it closes, returning the
-// terminal receive error. Batch frames dispatch concurrently through
-// submit; each response is queued on a response batcher, so replies
-// coalesce into batched frames in completion order and a blocked request
-// never delays its batch-mates. Single frames are answered synchronously
-// in arrival order, preserving the pre-batching protocol for old peers.
+// terminal receive error. Every frame must be a request batch (a lone
+// request is a one-entry batch); anything else is a protocol error that
+// ends Serve unanswered. Requests dispatch concurrently through submit;
+// each response is queued on a response batcher, so replies coalesce into
+// batched frames in completion order and a blocked request never delays
+// its batch-mates.
 //
 // Buffer ownership: each received frame arrives in a pooled buffer that
 // every request decoded from it aliases. The frame is reference-counted
@@ -60,12 +60,6 @@ func Serve(ch ServerChannel, h Handler, submit SubmitFunc, pol Policy) error {
 		buf, err := ch.Recv()
 		if err != nil {
 			return err
-		}
-		if !wire.IsBatchFrame(buf) {
-			if err := s.serveSingle(buf); err != nil {
-				return err
-			}
-			continue
 		}
 		kind, es, err := wire.DecodeBatchInto(entries[:0], buf)
 		if err != nil {
@@ -125,26 +119,6 @@ type server struct {
 	mu       sync.Mutex
 	inflight map[uint64]chan struct{} // request id -> its cancel channel
 	down     bool
-}
-
-// serveSingle answers one legacy single-frame request inline — the
-// pre-batching servers handled one request at a time per channel, and old
-// clients depend on ordered responses. It takes over buf and recycles it.
-//
-//memolint:transfers-ownership
-func (s *server) serveSingle(buf []byte) error {
-	q, err := wire.DecodeRequest(buf)
-	var resp *wire.Response
-	if err != nil {
-		resp = wire.Errf("bad request: %v", err)
-	} else {
-		resp = s.h(q, s.ch.Done())
-	}
-	msg := wire.AppendResponse(pool.Get(wire.ResponseOverhead(resp)), resp)
-	err = s.ch.Send(msg)
-	pool.Put(msg)
-	pool.Put(buf)
-	return err
 }
 
 // dispatchTask is one batched request in flight: the pooled argument struct

@@ -39,14 +39,14 @@ import (
 //
 // The token, trace, sampled bit, and span blob are flag-gated extensions
 // rather than Request fields so that frames without them are byte-identical
-// to version 1 frames that predate them, and the request codec (shared with
-// the single-frame legacy protocol) stays untouched.
+// to version 1 frames that predate them, and the request codec stays
+// untouched.
 //
-// Single-frame messages remain valid: their first byte is an Op or Status,
-// both of which are small constants, so IsBatchFrame cleanly discriminates.
+// A bare encoded message's first byte is an Op or Status, both small
+// constants, so IsBatchFrame cleanly tells it from a batch frame.
 
 // batchMagic marks a batch frame. Ops and Statuses are small iota constants;
-// 0xB1 collides with neither, keeping old single-frame peers decodable.
+// 0xB1 collides with neither.
 const batchMagic byte = 0xB1
 
 // BatchVersion is the current batch-frame version.

@@ -111,8 +111,8 @@ type Request struct {
 	// a retried maybe-delivered put carries the same token, and the folder
 	// server acknowledges without re-applying if it already holds it. The
 	// token is NOT part of the request codec — it travels as a batch-entry
-	// extension (see batch.go), so the single-frame legacy protocol is
-	// untouched and the rpc layer re-attaches it at every hop.
+	// extension (see batch.go), and the rpc layer re-attaches it at every
+	// hop.
 	Token uint64
 	// TraceID identifies the request across hops for the slow-request log
 	// (0 = untraced). Like Token, it is NOT part of the request codec — it

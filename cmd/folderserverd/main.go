@@ -28,6 +28,7 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/sharedmem"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -44,10 +45,9 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
-	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
-	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose handling takes at least this long in the slow-request log (/slowz); 0 disables span timing")
+	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
+	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose handling takes at least this long in the /tracez ring marked slow (list them with /tracez?slow=1) and log one line each; 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests into /tracez (1 = all, 0 = none); requests a memo server already sampled are always traced through")
-	traceRing := flag.Int("trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
 	readyFile := flag.String("ready-file", "", "after the listener is bound, atomically write the actual TCP address here (supports -listen :0; harnesses poll this file for readiness). With -debug-addr a second line `debug <addr>` names the debug endpoint")
 	flag.Parse()
 
@@ -63,18 +63,14 @@ func main() {
 		opts = append(opts, folder.WithShards(*shards))
 	}
 	pol := rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes, Linger: *batchLinger}
-	var slow *obs.SlowLog
-	if *slowThreshold > 0 {
-		slow = obs.NewSlowLog(*slowThreshold, 0)
-		slow.SetEmit(func(e obs.SlowEntry) {
-			log.Printf("folderserverd: slow request trace=%x hop=%d op=%s folder=%d at=%s took=%v",
-				e.Trace, e.Hop, e.Op, e.Folder, e.Where, e.Dur)
-		})
-	}
 	// The tracer exists even at -trace-sample 0: a request some memo server
 	// sampled upstream still collects spans here (relay-only mode).
-	tracer := obs.NewTracer(fmt.Sprintf("folder-%d@%s", *id, *host), *traceSample, *traceRing)
-	srvOpts := []folder.ServerOption{folder.WithBatchPolicy(pol), folder.WithSlowLog(slow), folder.WithTracer(tracer)}
+	tracer := obs.NewTracer(fmt.Sprintf("folder-%d@%s", *id, *host), *traceSample, *slowThreshold, 0)
+	tracer.OnSlow(func(trace uint64, sp wire.Span) {
+		log.Printf("folderserverd: slow request trace=%x hop=%d op=%s folder=%d at=%s took=%v",
+			trace, sp.Hop, sp.Op, sp.Folder, sp.Node, time.Duration(sp.Dur))
+	})
+	srvOpts := []folder.ServerOption{folder.WithBatchPolicy(pol), folder.WithTracer(tracer)}
 
 	var srv *folder.Server
 	if *dataDir != "" {
@@ -103,13 +99,13 @@ func main() {
 	}
 	log.Printf("folderserverd: folder server %d on %s listening at %s", *id, *host, l.Addr())
 
-	// The debug server unifies /metrics, /statusz, /slowz, /tracez, and pprof
+	// The debug server unifies /metrics, /statusz, /tracez, and pprof
 	// on one listener: off by default, and when enabled, bind a loopback
 	// address unless you mean to expose the profiler. Started before the
 	// ready file is published so the file can carry the debug address too.
 	var debug *obs.DebugServer
 	if *debugAddr != "" {
-		debug = obs.NewDebugServer(*debugAddr, []*obs.Registry{obs.Default}, slow,
+		debug = obs.NewDebugServer(*debugAddr, []*obs.Registry{obs.Default},
 			obs.WithTraceRing(tracer.Ring()))
 		if err := debug.Start(); err != nil {
 			log.Fatalf("folderserverd: debug server: %v", err)

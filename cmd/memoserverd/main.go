@@ -29,6 +29,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // flagSet reports whether the named flag was given on the command line.
@@ -77,10 +78,9 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for folder-server durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "records between WAL snapshot+truncate cycles (0 = default, negative = never)")
-	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /slowz, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
-	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose dispatch takes at least this long in the slow-request log (/slowz); 0 disables span timing")
+	debugAddr := flag.String("debug-addr", "", "serve the debug endpoints (/metrics, /statusz, /tracez, /debug/pprof/) on this address (e.g. localhost:6060); empty disables them")
+	slowThreshold := flag.Duration("slow-request-threshold", 0, "record requests whose dispatch takes at least this long in the /tracez ring marked slow (list them with /tracez?slow=1) and log one line each; 0 disables span timing")
 	traceSample := flag.Float64("trace-sample", 0, "span-sample this fraction of entry requests (1 = all, 0.01 = every 100th, 0 = none); sampled requests collect per-layer spans at every hop into /tracez. Requests another node sampled are always traced through")
-	traceRing := flag.Int("trace-ring", 0, "sampled traces kept in the /tracez ring (0 = default 256)")
 	readyFile := flag.String("ready-file", "", "after the listener is bound, atomically write the actual TCP address here (supports -listen :0; harnesses poll this file for readiness). With -debug-addr a second line `debug <addr>` names the debug endpoint")
 	flag.Parse()
 
@@ -123,30 +123,27 @@ func main() {
 			Durable:              durable.Config{Sync: syncMode, SnapshotEvery: *snapshotEvery},
 			SlowRequestThreshold: *slowThreshold,
 			TraceSample:          *traceSample,
-			TraceRingSize:        *traceRing,
 		})
 	node.RegisterMetrics(obs.Default)
-	if sl := node.SlowLog(); sl != nil {
-		// Besides the /slowz ring, mirror each slow span into the daemon log
-		// so operators see them without polling.
-		sl.SetEmit(func(e obs.SlowEntry) {
-			log.Printf("memoserverd: slow request trace=%x hop=%d op=%s folder=%d at=%s took=%v",
-				e.Trace, e.Hop, e.Op, e.Folder, e.Where, e.Dur)
-		})
-	}
+	// Besides the /tracez ring, mirror each slow request into the daemon log
+	// so operators see them without polling.
+	node.Tracer().OnSlow(func(trace uint64, sp wire.Span) {
+		log.Printf("memoserverd: slow request trace=%x hop=%d op=%s folder=%d at=%s took=%v",
+			trace, sp.Hop, sp.Op, sp.Folder, sp.Node, time.Duration(sp.Dur))
+	})
 	if err := node.Start(); err != nil {
 		log.Fatalf("memoserverd: %v", err)
 	}
 	log.Printf("memoserverd: host %s listening on %s", *host, mt.boundAddr)
 
-	// The debug server unifies /metrics, /statusz, /slowz, /tracez, and pprof
+	// The debug server unifies /metrics, /statusz, /tracez, and pprof
 	// on one listener: off by default, and when enabled, bind a loopback
 	// address unless you mean to expose the profiler. Started before the
 	// ready file is published so the file can carry the debug address too
 	// (`memo top` and the e2e forensics scraper read it from there).
 	var debug *obs.DebugServer
 	if *debugAddr != "" {
-		debug = obs.NewDebugServer(*debugAddr, []*obs.Registry{obs.Default}, node.SlowLog(),
+		debug = obs.NewDebugServer(*debugAddr, []*obs.Registry{obs.Default},
 			obs.WithTraceRing(node.Tracer().Ring()),
 			obs.WithLinkStatus(func() any { return node.LinkStats() }))
 		if err := debug.Start(); err != nil {

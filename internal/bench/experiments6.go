@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // preObsE14 is the recorded pre-instrumentation baseline for the E14 table:
@@ -23,7 +24,7 @@ var preObsE14 = map[int]struct {
 
 // E14Overhead quantifies what the observability layer costs the hot path:
 // first the primitive record operations in isolation (counter increment,
-// gauge add, histogram observe, trace-ID stamp, disabled slow-log check),
+// gauge add, histogram observe, trace-ID stamp, unarmed tracer check),
 // then the full instrumented batched round trip against the recorded
 // pre-instrumentation baseline. The instrumented path should stay within
 // ~2% ns/op of the baseline with no extra allocs/op.
@@ -65,14 +66,16 @@ func E14Overhead(cfg Config) (*Table, error) {
 	var c obs.Counter
 	var g obs.Gauge
 	var h obs.Histogram
-	var sl *obs.SlowLog // nil: the disabled fast path every un-armed daemon takes
+	// No sampler and no slow threshold: the path every un-armed daemon takes.
+	tr := obs.NewTracer("memo@e14", 0, 0, 0)
+	var q wire.Request
 	prim("counter inc", func() { c.Inc() })
 	prim("gauge add", func() { g.Add(1) })
 	prim("histogram observe", func() { h.Observe(4096) })
 	prim("trace-id stamp", func() { _ = obs.NewTraceID() })
-	prim("disabled slow-log check", func() {
-		if sl.Enabled() {
-			panic("nil slow log enabled")
+	prim("unarmed tracer check", func() {
+		if tr.Begin(&q).Timed() {
+			panic("unarmed tracer timed a request")
 		}
 	})
 

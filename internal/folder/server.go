@@ -3,7 +3,6 @@ package folder
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/obs"
@@ -29,17 +28,13 @@ type Server struct {
 	// in a memo server never submits to it, so its counters stay zero.
 	pool  *threadcache.Pool
 	batch rpc.Policy
-	// slow, when non-nil, records request spans at or over its threshold.
-	// Shared with the owning daemon (memoserverd hands every folder server
-	// its node-wide log), so one /slowz shows a request's spans across
-	// layers. Nil-safe throughout.
-	slow *obs.SlowLog
-	// tracer, when non-nil, owns span sets for requests that reach Handle
-	// without an enclosing dispatch wrapper — the standalone folderserverd
-	// deployment, where this server is the whole node. Under a memo server
-	// the node's own tracer owns the set and Begin here returns nil.
+	// tracer, when non-nil, owns span sets and slow timing for requests
+	// that reach Handle without an enclosing dispatch wrapper — the
+	// standalone folderserverd deployment, where this server is the whole
+	// node. Under a memo server the tracer is nil: the node's own tracer owns
+	// the set, and the node's memo span already times this server's work.
 	tracer *obs.Tracer
-	// where names this server in slow-log spans, e.g. "folder-3@bonnie".
+	// where names this server in its spans, e.g. "folder-3@bonnie".
 	where string
 	// ownsStore marks a store this server opened itself (OpenServer): Close
 	// then flushes and closes its write-ahead log too.
@@ -55,17 +50,12 @@ func WithBatchPolicy(p rpc.Policy) ServerOption {
 	return func(s *Server) { s.batch = p }
 }
 
-// WithSlowLog attaches a slow-request log: Handle records per-request spans
-// (trace ID, hop, op, duration) for requests at or over the log's threshold.
-func WithSlowLog(sl *obs.SlowLog) ServerOption {
-	return func(s *Server) { s.slow = sl }
-}
-
-// WithTracer attaches a span tracer for the standalone deployment: Handle
-// begins and finishes span sets itself (sampling entry requests at the
-// tracer's rate, always collecting wire-sampled ones) and records them into
-// the tracer's ring for /tracez. Servers embedded in a memo server do not
-// need this — the node's dispatch wrapper owns the set.
+// WithTracer attaches a request tracer for the standalone deployment:
+// Handle begins and ends its own scope (sampling entry requests at the
+// tracer's rate, always collecting wire-sampled ones, timing the rest
+// against the slow threshold) and records into the tracer's ring for
+// /tracez. Servers embedded in a memo server do not need this — the node's
+// dispatch wrapper owns the set.
 func WithTracer(tr *obs.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = tr }
 }
@@ -128,56 +118,38 @@ func (s *Server) Crash() {
 // Handle executes one request against this folder server. Blocking
 // operations respect cancel. The caller provides its own concurrency: the
 // memo server calls Handle on the cached thread already dispatching the
-// request, and Serve calls it on this server's thread cache. With a slow
-// log attached and enabled, each request is timed as one span (the Enabled
-// check is a single atomic load, so a disabled log costs no time.Now on the
-// hot path). A sampled request (one whose dispatch wrapper attached a
-// SpanSet) additionally threads an opTrace through the store and emits
-// folder and durable spans with the shard-lock wait, park time, and
-// group-commit wait it accumulated. With a tracer attached
-// (standalone folderserverd) Handle owns the set itself: it begins one for
-// sampled or sampler-admitted entry requests and finishes it into the
-// tracer's ring, returning the spans on the response for the rpc layer.
+// request, and Serve calls it on this server's thread cache. A sampled
+// request (one whose SpanSet an enclosing wrapper or this server's tracer
+// attached) threads an opTrace through the store and emits folder and
+// durable spans with the shard-lock wait, park time, and group-commit wait
+// it accumulated. With a tracer attached (standalone folderserverd) the
+// tracer also times unsampled requests against its slow threshold; an
+// untimed request costs the Begin branches and no time.Now.
 func (s *Server) Handle(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	if set := s.tracer.Begin(q); set != nil {
-		return s.tracer.Finish(q, set, s.handleSpans(q, cancel))
-	}
-	return s.handleSpans(q, cancel)
-}
-
-// handleSpans times one request into the slow log and, when an enclosing
-// wrapper attached a SpanSet, emits this layer's spans into it.
-func (s *Server) handleSpans(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	traced := q.Sampled && q.Spans != nil
-	if !traced && !s.slow.Enabled() {
+	sc := s.tracer.Begin(q)
+	if !sc.Timed() {
 		return s.handle(q, cancel, nil)
 	}
 	var ot *opTrace
-	if traced {
+	if q.Spans != nil {
 		ot = new(opTrace)
 	}
-	start := time.Now()
 	resp := s.handle(q, cancel, ot)
-	dur := time.Since(start)
-	if s.slow.Enabled() {
-		s.slow.Observe(q.TraceID, q.TraceHop, q.Op.String(), s.ID, s.where, dur)
-	}
-	if traced {
-		startNS := start.UnixNano()
-		q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: q.Op.String(),
-			Folder: s.ID, Hop: q.TraceHop, Start: startNS, Dur: int64(dur), Wait: ot.lockWaitNS})
+	sp := wire.Span{Node: s.where, Layer: "folder", Op: q.Op.String(), Folder: s.ID}
+	if ot != nil {
+		sp.Wait = ot.lockWaitNS
+		// Aggregate park and group-commit time, anchored at the op start
+		// (the store does not track individual intervals).
 		if ot.parkNS > 0 {
-			// Aggregate time parked waiting for a memo; anchored at the op
-			// start (the store does not track individual park intervals).
 			q.Spans.Add(wire.Span{Node: s.where, Layer: "folder", Op: "park",
-				Folder: s.ID, Hop: q.TraceHop, Start: startNS, Dur: ot.parkNS})
+				Folder: s.ID, Hop: q.TraceHop, Start: sc.StartNS(), Dur: ot.parkNS})
 		}
 		if ot.commitNS > 0 {
 			q.Spans.Add(wire.Span{Node: s.where, Layer: "durable", Op: "commit",
-				Folder: s.ID, Hop: q.TraceHop, Start: startNS, Dur: ot.commitNS})
+				Folder: s.ID, Hop: q.TraceHop, Start: sc.StartNS(), Dur: ot.commitNS})
 		}
 	}
-	return resp
+	return s.tracer.End(q, sc, resp, sp)
 }
 
 func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, ot *opTrace) *wire.Response {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/symbol"
 	"repro/internal/transport"
@@ -79,6 +80,36 @@ func TestHandleCanceledGetReportsError(t *testing.T) {
 	}
 }
 
+// TestStandaloneTracerRecordsSlow: a standalone folder server with a tracer
+// is its own node — it stamps entry requests and records each one over the
+// threshold as a one-span slow sample under its own name. An embedded server
+// (no tracer) records nothing: its memo server's span covers its work.
+func TestStandaloneTracerRecordsSlow(t *testing.T) {
+	tr := obs.NewTracer("folder-0@testhost", 0, time.Nanosecond, 0)
+	s := NewServer(0, "testhost", NewStore(), WithTracer(tr))
+	t.Cleanup(s.Close)
+	q := &wire.Request{Op: wire.OpPut, Key: symbol.K(5), Payload: []byte("v")}
+	if r := s.Handle(q, never); r.Status != wire.StatusOK {
+		t.Fatalf("put: %+v", r)
+	}
+	if q.TraceID == 0 {
+		t.Fatal("standalone entry request got no trace ID")
+	}
+	got := tr.Ring().Get(q.TraceID)
+	if len(got) != 1 || !got[0].Slow || len(got[0].Spans) != 1 {
+		t.Fatalf("want one slow one-span sample, got %+v", got)
+	}
+	if sp := got[0].Spans[0]; sp.Node != "folder-0@testhost" || sp.Layer != "folder" || sp.Op != wire.OpPut.String() || sp.Dur <= 0 {
+		t.Fatalf("slow span wrong: %+v", sp)
+	}
+
+	embedded := newTestServer(t)
+	q = &wire.Request{Op: wire.OpPut, Key: symbol.K(5), Payload: []byte("v")}
+	if r := embedded.Handle(q, never); r.Status != wire.StatusOK || q.TraceID != 0 {
+		t.Fatalf("embedded put: %+v trace=%x", r, q.TraceID)
+	}
+}
+
 // TestServeOverTCP drives the standalone wire-protocol server (the
 // cmd/folderserverd deployment) over a real TCP socket.
 func TestServeOverTCP(t *testing.T) {
@@ -121,7 +152,7 @@ func TestServeOverTCP(t *testing.T) {
 
 	// A malformed request gets an error response, not a dropped channel.
 	raw := mux.Channel(2)
-	if err := raw.Send(wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: []byte{0xFF, 0xFF}}})); err != nil {
+	if err := raw.Send(wire.AppendBatch(nil, wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: []byte{0xFF, 0xFF}}})); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := raw.Recv()

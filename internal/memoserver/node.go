@@ -115,18 +115,19 @@ type Config struct {
 	// defaults: group commit, snapshot every durable.DefaultSnapshotEvery
 	// records).
 	Durable durable.Config
-	// SlowRequestThreshold arms the slow-request log: requests whose
-	// dispatch (or folder-server handling) takes at least this long are
-	// recorded with their wire-propagated trace ID. Zero disables span
-	// timing entirely.
+	// SlowRequestThreshold arms slow-request tracing: requests whose
+	// dispatch (folder work included) takes at least this long are recorded
+	// into the trace ring marked slow, under a trace ID the entry node
+	// stamps and every hop shares. Zero disables timing of unsampled
+	// requests entirely.
 	SlowRequestThreshold time.Duration
 	// TraceSample is the span-sampling rate for requests that enter the
 	// cluster at this node: 1 samples every entry request, 1/n every nth,
 	// 0 (the default) samples none locally. Requests another node sampled
 	// are always traced through regardless — the sampled bit rides the wire.
 	TraceSample float64
-	// TraceRingSize bounds the per-node sampled-trace ring served at
-	// /tracez (0 = the obs default).
+	// TraceRingSize bounds the per-node trace ring served at /tracez
+	// (0 = the obs default).
 	TraceRingSize int
 }
 
@@ -159,16 +160,13 @@ type Node struct {
 	listener transport.Listener
 	closed   bool
 
-	// slow is the node-wide slow-request log, shared with every folder
-	// server this node creates so one log shows a request's spans across
-	// layers. Nil-safe; disabled unless Config.SlowRequestThreshold > 0.
-	slow *obs.SlowLog
-	// tracer is the node's span-tracing front end: entry sampling at
-	// Config.TraceSample, span-set ownership around dispatch, and the
-	// /tracez ring. Always non-nil — a rate-0 node still collects spans for
-	// requests other nodes sampled.
+	// tracer is the node's request-tracing front end: entry sampling at
+	// Config.TraceSample, slow timing at Config.SlowRequestThreshold,
+	// span-set ownership around dispatch, and the /tracez ring. Always
+	// non-nil — a rate-0 node still collects spans for requests other nodes
+	// sampled.
 	tracer *obs.Tracer
-	// where names this node in slow-log spans, e.g. "memo@glen-ellyn".
+	// where names this node in its spans, e.g. "memo@glen-ellyn".
 	where string
 
 	// Counters for experiments and the node_* metric series (the same
@@ -236,19 +234,12 @@ func newNode(host string, t listenNet, dial func(string, string) (transport.Conn
 		pool:     threadcache.New(cfg.Cache),
 		where:    "memo@" + host,
 	}
-	if cfg.SlowRequestThreshold > 0 {
-		n.slow = obs.NewSlowLog(cfg.SlowRequestThreshold, 0)
-	}
-	n.tracer = obs.NewTracer(n.where, cfg.TraceSample, cfg.TraceRingSize)
+	n.tracer = obs.NewTracer(n.where, cfg.TraceSample, cfg.SlowRequestThreshold, cfg.TraceRingSize)
 	return n
 }
 
-// SlowLog exposes the node's slow-request log (nil when disabled); the
-// daemon wires its emit callback and /slowz endpoint to it.
-func (n *Node) SlowLog() *obs.SlowLog { return n.slow }
-
-// Tracer exposes the node's span tracer; the daemon serves its ring at
-// /tracez.
+// Tracer exposes the node's request tracer; the daemon serves its ring at
+// /tracez and logs its slow requests.
 func (n *Node) Tracer() *obs.Tracer { return n.tracer }
 
 // Start binds the memo-server address and begins serving.
@@ -429,7 +420,7 @@ func (n *Node) RegisterApp(f *adf.File) error {
 			// on Close.
 			dir := filepath.Join(n.cfg.DataDir, f.App, fmt.Sprintf("folder-%d", fs.ID))
 			srv, err := folder.OpenServer(fs.ID, n.Host, dir, n.cfg.Durable, opts,
-				folder.WithBatchPolicy(n.cfg.Batch), folder.WithSlowLog(n.slow))
+				folder.WithBatchPolicy(n.cfg.Batch))
 			if err != nil {
 				for _, s := range app.local {
 					s.Close()
@@ -441,7 +432,7 @@ func (n *Node) RegisterApp(f *adf.File) error {
 		}
 		store := folder.NewStore(opts...)
 		app.local[fs.ID] = folder.NewServer(fs.ID, n.Host, store,
-			folder.WithBatchPolicy(n.cfg.Batch), folder.WithSlowLog(n.slow))
+			folder.WithBatchPolicy(n.cfg.Batch))
 	}
 
 	if _, loaded := n.apps.LoadOrStore(f.App, app); loaded {
@@ -486,42 +477,27 @@ func (n *Node) lookupApp(name string) (*App, bool) {
 
 // Dispatch routes one request: to a local folder server, or toward the
 // target host via the next-hop memo server. It blocks for the response
-// (which may wait on a folder), honouring cancel. With the slow-request log
-// armed, each dispatch is timed as one span under this node's name (the
-// disabled check is one atomic load — no time.Now on an uninstrumented
-// daemon). Sampled requests — entry requests the tracer admits, or requests
-// that arrived with the sampled bit set — additionally own a span set for
-// the duration of the dispatch: every layer below appends into it, and
-// Finish records the completed set into the /tracez ring and ships it back
-// toward the entry node on the response.
+// (which may wait on a folder), honouring cancel. The node's tracer decides
+// whether the dispatch is timed: sampled requests — entry requests the
+// tracer admits, or requests that arrived with the sampled bit set — own a
+// span set for the duration of the dispatch (every layer below appends into
+// it, and End records the completed set into the /tracez ring and ships it
+// back toward the entry node on the response); with the slow threshold
+// armed, every other request is timed as one memo span, recorded only if
+// slow. An unarmed node takes no time.Now here.
 func (n *Node) Dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {
-	set := n.tracer.Begin(q)
-	if set == nil && !n.slow.Enabled() {
+	sc := n.tracer.Begin(q)
+	if !sc.Timed() {
 		return n.dispatch(q, cancel)
 	}
-	start := time.Now()
 	resp := n.dispatch(q, cancel)
-	dur := time.Since(start)
-	if n.slow.Enabled() {
-		n.slow.Observe(q.TraceID, q.TraceHop, q.Op.String(), q.FolderID, n.where, dur)
+	var wait int64
+	if startNS := sc.StartNS(); q.EnqueueNS > 0 && startNS > q.EnqueueNS {
+		// Time spent in the rpc dispatch queue before a thread picked the
+		// request up (stamped by the rpc server only on sampled entries).
+		wait = startNS - q.EnqueueNS
 	}
-	if set != nil {
-		startNS := start.UnixNano()
-		var wait int64
-		if q.EnqueueNS > 0 && startNS > q.EnqueueNS {
-			// Time spent in the rpc dispatch queue before a thread picked the
-			// request up (stamped by the rpc server only on sampled entries).
-			wait = startNS - q.EnqueueNS
-		}
-		set.Add(wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID,
-			Hop: q.TraceHop, Start: startNS, Dur: int64(dur), Wait: wait})
-		resp = n.tracer.Finish(q, set, resp)
-	} else if n.slow.Enabled() && dur >= n.slow.Threshold() {
-		// Slow but unsampled: record a single-span sample so /tracez always
-		// has the requests /slowz complains about, even at -trace-sample 0.
-		n.tracer.RecordSlow(q, "memo", q.Op.String(), start, dur)
-	}
-	return resp
+	return n.tracer.End(q, sc, resp, wire.Span{Layer: "memo", Op: q.Op.String(), Folder: q.FolderID, Wait: wait})
 }
 
 func (n *Node) dispatch(q *wire.Request, cancel <-chan struct{}) *wire.Response {

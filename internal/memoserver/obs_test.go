@@ -57,58 +57,44 @@ func bootTCPPair(t *testing.T, cfg Config) ([]*Node, []*Client) {
 
 // TestTracePropagation puts from host b into a folder on host a — a
 // two-hop path (client → memo b → memo a → folder 0) — with a threshold low
-// enough to record everything, and checks that the one client-stamped trace
-// ID names the request in both hosts' slow logs, with the hop counter
-// advanced across the forward.
+// enough to make every request slow and sampling off. The entry node stamps
+// the trace ID (the client stays traceless) and every hop records one slow
+// sample under it: one on b at hop 0, one on a at hop >= 1. Folder 0's work
+// runs inside a's memo span, so it adds no record of its own.
 func TestTracePropagation(t *testing.T) {
 	nodes, clients := bootTCPPair(t, Config{SlowRequestThreshold: time.Nanosecond})
-	clients[1].EnableTracing()
 
 	q := req(wire.OpPut, 0, symbol.K(3, 1), []byte("traced"))
 	if resp, err := clients[1].Do(q, nil); err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("put: %+v %v", resp, err)
 	}
-	if q.TraceID == 0 {
-		t.Fatal("Do did not stamp a trace ID")
+	if q.TraceID != 0 {
+		t.Fatal("client stamped a trace ID; the entry node owns stamping")
 	}
-
-	// Host b dispatched at hop 0; host a dispatched the forwarded request
-	// and its folder server handled it, both at hop 1.
-	if !nodes[1].SlowLog().Contains(q.TraceID) {
-		t.Fatalf("trace %x missing from origin host's slow log", q.TraceID)
+	entry := nodes[1].Tracer().Ring().Recent()
+	if len(entry) == 0 {
+		t.Fatal("entry node recorded nothing")
 	}
-	if !nodes[0].SlowLog().Contains(q.TraceID) {
-		t.Fatalf("trace %x missing from remote host's slow log", q.TraceID)
-	}
-	var sawFolder, sawForwardHop bool
-	for _, e := range nodes[0].SlowLog().Recent() {
-		if e.Trace != q.TraceID {
-			continue
+	id := entry[0].Trace
+	for i, want := range []struct {
+		node  string
+		relay bool
+	}{{"memo@a", true}, {"memo@b", false}} {
+		got := nodes[i].Tracer().Ring().Get(id)
+		if len(got) != 1 {
+			t.Fatalf("%s holds %d records for trace %x, want 1: %+v", want.node, len(got), id, got)
 		}
-		if e.Hop >= 1 {
-			sawForwardHop = true
+		ts := got[0]
+		if !ts.Slow || len(ts.Spans) != 1 {
+			t.Fatalf("%s record not one slow span: %+v", want.node, ts)
 		}
-		if e.Where == "folder-0@a" {
-			sawFolder = true
-			if e.Op != wire.OpPut.String() {
-				t.Fatalf("folder span op = %s", e.Op)
-			}
+		sp := ts.Spans[0]
+		if sp.Node != want.node || sp.Layer != "memo" || sp.Op != wire.OpPut.String() || sp.Folder != 0 {
+			t.Fatalf("%s span wrong: %+v", want.node, sp)
 		}
-	}
-	if !sawForwardHop {
-		t.Fatal("no remote span recorded hop >= 1")
-	}
-	if !sawFolder {
-		t.Fatalf("no folder-server span for trace %x: %+v", q.TraceID, nodes[0].SlowLog().Recent())
-	}
-
-	// An untraced client's requests must stay untraced end to end.
-	q2 := req(wire.OpPut, 0, symbol.K(3, 2), []byte("untraced"))
-	if resp, err := clients[0].Do(q2, nil); err != nil || resp.Status != wire.StatusOK {
-		t.Fatalf("put: %+v %v", resp, err)
-	}
-	if q2.TraceID != 0 {
-		t.Fatal("untraced request gained a trace ID")
+		if want.relay != (sp.Hop >= 1) {
+			t.Fatalf("%s span hop = %d", want.node, sp.Hop)
+		}
 	}
 }
 
@@ -136,7 +122,7 @@ func TestMetricsScrape(t *testing.T) {
 	// collector; serve both like memoserverd does.
 	reg := obs.NewRegistry()
 	nodes[0].RegisterMetrics(reg)
-	debug := obs.NewDebugServer("127.0.0.1:0", []*obs.Registry{obs.Default, reg}, nodes[0].SlowLog())
+	debug := obs.NewDebugServer("127.0.0.1:0", []*obs.Registry{obs.Default, reg}, obs.WithTraceRing(nodes[0].Tracer().Ring()))
 	if err := debug.Start(); err != nil {
 		t.Fatal(err)
 	}

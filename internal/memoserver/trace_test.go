@@ -2,6 +2,7 @@ package memoserver
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/symbol"
 	"repro/internal/wire"
@@ -95,8 +96,10 @@ func TestClientForcedSampling(t *testing.T) {
 	}
 }
 
-// TestUnsampledRequestsLeaveNoTrace: with sampling off everywhere and no
-// client forcing, the rings stay empty and requests carry no span state.
+// TestUnsampledRequestsLeaveNoTrace: with sampling off everywhere, no slow
+// threshold, and no client forcing, the rings stay empty and requests carry
+// no span state and no trace ID — forwarded frames stay byte-identical to
+// pre-trace ones.
 func TestUnsampledRequestsLeaveNoTrace(t *testing.T) {
 	tn := bootNet(t, twoHostADF, Config{})
 	c := tn.client(t, "a")
@@ -104,9 +107,41 @@ func TestUnsampledRequestsLeaveNoTrace(t *testing.T) {
 	if resp, err := c.Do(q, nil); err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("put: %+v %v", resp, err)
 	}
+	// The server-side request: Dispatch directly, forwarding to b.
+	q = req(wire.OpPut, 1, symbol.K(10), []byte("plain"))
+	q.App = "t2"
+	if resp := tn.nodes["a"].Dispatch(q, nil); resp.Status != wire.StatusOK {
+		t.Fatalf("dispatch put: %+v", resp)
+	}
+	if q.TraceID != 0 || q.Sampled || q.Spans != nil {
+		t.Fatalf("unarmed dispatch traced the request: id=%x sampled=%v spans=%v", q.TraceID, q.Sampled, q.Spans)
+	}
 	for name, n := range tn.nodes {
 		if got := n.Tracer().Ring().Recorded(); got != 0 {
 			t.Errorf("node %s recorded %d samples with tracing off", name, got)
+		}
+	}
+}
+
+// TestSlowSampledRequestIsOneSample: with sampling on and every request
+// slow, a forwarded put leaves one sample per node for its trace — the full
+// span set, marked slow — not a second one-span slow record beside it.
+func TestSlowSampledRequestIsOneSample(t *testing.T) {
+	tn := bootNet(t, twoHostADF, Config{TraceSample: 1, SlowRequestThreshold: time.Nanosecond})
+	c := tn.client(t, "a")
+	c.EnableSampling()
+	q := req(wire.OpPut, 1, symbol.K(11), []byte("slow"))
+	if resp, err := c.Do(q, nil); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("put: %+v %v", resp, err)
+	}
+	for _, host := range []string{"a", "b"} {
+		ring := tn.nodes[host].Tracer().Ring()
+		got := ring.Get(q.TraceID)
+		if len(got) != 1 {
+			t.Fatalf("node %s holds %d samples for trace %x, want 1: %+v", host, len(got), q.TraceID, got)
+		}
+		if !got[0].Slow || len(got[0].Spans) < 2 {
+			t.Fatalf("node %s sample not a slow span set: %+v", host, got[0])
 		}
 	}
 }

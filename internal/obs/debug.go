@@ -14,15 +14,13 @@ import (
 
 // DebugServer is the one debug HTTP endpoint a daemon exposes (-debug-addr):
 // /metrics (Prometheus text format over every attached registry), /statusz
-// (JSON snapshot plus recent slow requests and link health), /slowz (the
-// slow-request ring alone), /tracez (the sampled-trace ring), and
-// /debug/pprof/* (the net/http/pprof handlers, mounted on this server's own
+// (JSON snapshot plus trace totals and link health), /tracez (the trace
+// ring, slow requests included), and /debug/pprof/* (the net/http/pprof handlers, mounted on this server's own
 // mux rather than a bare http.ListenAndServe goroutine — so profiling shares
 // the lifecycle, the listener closes on Shutdown, and a serve error surfaces
 // on Done instead of being logged and lost).
 type DebugServer struct {
 	regs  []*Registry
-	slow  *SlowLog
 	ring  *TraceRing
 	links func() any
 
@@ -34,8 +32,8 @@ type DebugServer struct {
 // DebugOption customizes a DebugServer at construction.
 type DebugOption func(*DebugServer)
 
-// WithTraceRing attaches the node's sampled-trace ring: /tracez serves it,
-// and /statusz reports its totals.
+// WithTraceRing attaches the node's trace ring: /tracez serves it, and
+// /statusz reports its totals.
 func WithTraceRing(r *TraceRing) DebugOption {
 	return func(d *DebugServer) { d.ring = r }
 }
@@ -47,17 +45,15 @@ func WithLinkStatus(fn func() any) DebugOption {
 }
 
 // NewDebugServer builds a debug server for addr serving the given
-// registries (scraped in order) and, when non-nil, the slow-request log.
-// Call Start to bind and serve.
-func NewDebugServer(addr string, regs []*Registry, slow *SlowLog, opts ...DebugOption) *DebugServer {
-	d := &DebugServer{regs: regs, slow: slow, done: make(chan error, 1)}
+// registries (scraped in order). Call Start to bind and serve.
+func NewDebugServer(addr string, regs []*Registry, opts ...DebugOption) *DebugServer {
+	d := &DebugServer{regs: regs, done: make(chan error, 1)}
 	for _, o := range opts {
 		o(d)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", d.handleMetrics)
 	mux.HandleFunc("/statusz", d.handleStatusz)
-	mux.HandleFunc("/slowz", d.handleSlowz)
 	mux.HandleFunc("/tracez", d.handleTracez)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -122,7 +118,6 @@ func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 type statuszBody struct {
 	Metrics  []seriesJSON `json:"metrics"`
 	Links    any          `json:"links,omitempty"`
-	Slow     []SlowEntry  `json:"slow_requests,omitempty"`
 	SlowTot  int64        `json:"slow_requests_total"`
 	TraceTot int64        `json:"traces_total"`
 }
@@ -135,23 +130,15 @@ func (d *DebugServer) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	if d.links != nil {
 		body.Links = d.links()
 	}
-	body.Slow = d.slow.Recent()
-	body.SlowTot = d.slow.Recorded()
+	body.SlowTot = d.ring.SlowRecorded()
 	body.TraceTot = d.ring.Recorded()
 	writeJSON(w, body)
 }
 
-func (d *DebugServer) handleSlowz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, struct {
-		Threshold time.Duration `json:"threshold_ns"`
-		Total     int64         `json:"total"`
-		Recent    []SlowEntry   `json:"recent"`
-	}{d.slow.Threshold(), d.slow.Recorded(), d.slow.Recent()})
-}
-
-// handleTracez serves the sampled-trace ring: every recent sample, or —
-// with ?trace=<id> (decimal) — only that trace's samples. `memo trace`
-// scrapes this from every node and merges the timelines.
+// handleTracez serves the trace ring: every recent sample, or — with
+// ?trace=<id> (decimal) — only that trace's samples, and with ?slow=1 only
+// the samples marked slow. `memo trace` scrapes this from every node and
+// merges the timelines.
 func (d *DebugServer) handleTracez(w http.ResponseWriter, req *http.Request) {
 	recent := d.ring.Recent()
 	if s := req.URL.Query().Get("trace"); s != "" {
@@ -161,6 +148,15 @@ func (d *DebugServer) handleTracez(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		recent = d.ring.Get(id)
+	}
+	if req.URL.Query().Get("slow") == "1" {
+		slow := recent[:0]
+		for _, ts := range recent {
+			if ts.Slow {
+				slow = append(slow, ts)
+			}
+		}
+		recent = slow
 	}
 	writeJSON(w, struct {
 		Total  int64         `json:"total"`

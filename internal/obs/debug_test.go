@@ -8,36 +8,43 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func TestDebugServer(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("dbg_ops_total", "ops")
 	c.Add(3)
-	sl := NewSlowLog(time.Millisecond, 8)
-	sl.Observe(77, 1, "put", 0, "memo@test", 5*time.Millisecond)
+	ring := NewTraceRing(8)
+	ring.Record(TraceSample{Trace: 77, Slow: true, Spans: []wire.Span{{Node: "memo@test", Layer: "memo", Op: "put", Hop: 1}}})
+	ring.Record(TraceSample{Trace: 78, Spans: []wire.Span{{Node: "memo@test", Layer: "memo", Op: "get"}}})
 
-	d := NewDebugServer("127.0.0.1:0", []*Registry{r}, sl)
+	d := NewDebugServer("127.0.0.1:0", []*Registry{r}, WithTraceRing(ring))
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
 	base := "http://" + d.Addr()
 
-	get := func(path string) (string, string) {
+	getStatus := func(path string, want int) (string, string) {
 		t.Helper()
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		return string(body), resp.Header.Get("Content-Type")
+	}
+	get := func(path string) (string, string) {
+		t.Helper()
+		return getStatus(path, http.StatusOK)
 	}
 
 	metrics, ctype := get("/metrics")
@@ -56,14 +63,31 @@ func TestDebugServer(t *testing.T) {
 	if err := json.Unmarshal([]byte(statusz), &body); err != nil {
 		t.Fatalf("/statusz not JSON: %v", err)
 	}
-	if len(body.Metrics) == 0 || body.SlowTot != 1 || len(body.Slow) != 1 || body.Slow[0].Trace != 77 {
+	if len(body.Metrics) == 0 || body.SlowTot != 1 || body.TraceTot != 2 {
 		t.Errorf("/statusz body wrong: %s", statusz)
 	}
 
-	slowz, _ := get("/slowz")
-	if !strings.Contains(slowz, `"trace": 77`) {
-		t.Errorf("/slowz missing entry:\n%s", slowz)
+	tracez := func(query string) []TraceSample {
+		t.Helper()
+		raw, _ := get("/tracez" + query)
+		var tz struct {
+			Recent []TraceSample `json:"recent"`
+		}
+		if err := json.Unmarshal([]byte(raw), &tz); err != nil {
+			t.Fatalf("/tracez%s not JSON: %v", query, err)
+		}
+		return tz.Recent
 	}
+	if all := tracez(""); len(all) != 2 {
+		t.Errorf("/tracez lists %d samples, want 2", len(all))
+	}
+	if slow := tracez("?slow=1"); len(slow) != 1 || slow[0].Trace != 77 || !slow[0].Slow {
+		t.Errorf("/tracez?slow=1 = %+v, want only trace 77", slow)
+	}
+	if slow := tracez("?trace=78&slow=1"); len(slow) != 0 {
+		t.Errorf("/tracez?trace=78&slow=1 = %+v, want none", slow)
+	}
+	getStatus("/slowz", http.StatusNotFound)
 
 	if pprofIdx, _ := get("/debug/pprof/"); !strings.Contains(pprofIdx, "goroutine") {
 		t.Errorf("/debug/pprof/ index looks wrong:\n%s", pprofIdx)

@@ -1,7 +1,8 @@
 // Package obs is the observability core: allocation-free metric primitives
 // (counters, gauges, fixed-bucket histograms), a process-wide registry with
-// Prometheus text-format and JSON exposition, a bounded slow-request log
-// fed by wire-propagated trace IDs, and the debug HTTP server every daemon
+// Prometheus text-format and JSON exposition, the request Tracer (entry
+// sampling, the slow threshold, and one bounded trace ring per node keyed
+// by wire-propagated trace IDs), and the debug HTTP server every daemon
 // mounts at -debug-addr.
 //
 // The primitives are designed for the steady-state request path, which PR 5

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -55,9 +57,11 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 // TestRecordAllocFree is the gate the tentpole promises: counter
-// increments, gauge moves, histogram observations, and disabled/slow-miss
-// slow-log observations are all 0 allocs/op, so instrumentation cannot
-// perturb the PR 5 hot-path allocation budgets.
+// increments, gauge moves, histogram observations, and the unarmed tracer
+// check every un-armed daemon takes per request are all 0 allocs/op, so
+// instrumentation cannot perturb the PR 5 hot-path allocation budgets. An
+// armed tracer timing a request that stays under the threshold allocates
+// nothing either.
 func TestRecordAllocFree(t *testing.T) {
 	var c Counter
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
@@ -72,13 +76,25 @@ func TestRecordAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(v); v += 97 }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op, want 0", n)
 	}
-	var nilLog *SlowLog
-	if n := testing.AllocsPerRun(1000, func() { nilLog.Observe(1, 0, "put", 0, "x", time.Second) }); n != 0 {
-		t.Errorf("nil SlowLog.Observe allocates %v/op, want 0", n)
+	unarmed := NewTracer("memo@x", 0, 0, 8)
+	var q wire.Request
+	if n := testing.AllocsPerRun(1000, func() {
+		if unarmed.Begin(&q).Timed() {
+			t.Fatal("unarmed tracer timed a request")
+		}
+	}); n != 0 {
+		t.Errorf("unarmed Tracer.Begin allocates %v/op, want 0", n)
 	}
-	sl := NewSlowLog(time.Hour, 8)
-	if n := testing.AllocsPerRun(1000, func() { sl.Observe(1, 0, "put", 0, "x", time.Millisecond) }); n != 0 {
-		t.Errorf("below-threshold SlowLog.Observe allocates %v/op, want 0", n)
+	armed := NewTracer("memo@x", 0, time.Hour, 8)
+	resp := wire.OK()
+	if n := testing.AllocsPerRun(1000, func() {
+		q := wire.Request{Op: wire.OpPut}
+		armed.End(&q, armed.Begin(&q), resp, wire.Span{Layer: "memo", Op: "put"})
+	}); n != 0 {
+		t.Errorf("below-threshold Tracer.Begin/End allocates %v/op, want 0", n)
+	}
+	if armed.Ring().Recorded() != 0 {
+		t.Fatal("below-threshold requests were recorded")
 	}
 }
 
@@ -174,56 +190,93 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-func TestSlowLog(t *testing.T) {
-	sl := NewSlowLog(10*time.Millisecond, 4)
-	if !sl.Enabled() {
-		t.Fatal("enabled log reports disabled")
+// TestTracerSlowRetention pins "slow" as a retention rule of the one trace
+// ring: an unsampled request over the threshold leaves one slow one-span
+// sample (and one OnSlow call), one under it leaves nothing, and an entry
+// request gets a trace ID either way while a relay hop stamps none. The
+// ring keeps the newest samples.
+func TestTracerSlowRetention(t *testing.T) {
+	type slowCall struct {
+		trace uint64
+		sp    wire.Span
 	}
-	sl.Observe(1, 0, "get", 2, "memo@a", 5*time.Millisecond) // below threshold
-	if got := sl.Recorded(); got != 0 {
-		t.Fatalf("recorded %d below-threshold spans", got)
+	var logged []slowCall
+	tr := NewTracer("memo@a", 0, time.Nanosecond, 4)
+	tr.OnSlow(func(trace uint64, sp wire.Span) { logged = append(logged, slowCall{trace, sp}) })
+	var ids []uint64
+	for i := 0; i < 6; i++ {
+		q := &wire.Request{Op: wire.OpGet, FolderID: 2, TraceHop: 1}
+		sc := tr.Begin(q)
+		if !sc.Timed() || q.TraceID == 0 || q.Spans != nil {
+			t.Fatalf("armed Begin: timed=%v trace=%x spans=%v", sc.Timed(), q.TraceID, q.Spans)
+		}
+		time.Sleep(time.Microsecond)
+		if got := tr.End(q, sc, wire.OK(), wire.Span{Layer: "memo", Op: "get", Folder: 2}); got.Spans != nil {
+			t.Fatal("unsampled End returned spans")
+		}
+		ids = append(ids, q.TraceID)
 	}
-	for i := uint64(1); i <= 6; i++ {
-		sl.Observe(i, 1, "get", 2, "memo@a", 20*time.Millisecond)
+	ring := tr.Ring()
+	if ring.Recorded() != 6 || ring.SlowRecorded() != 6 {
+		t.Fatalf("recorded %d (%d slow), want 6 (6)", ring.Recorded(), ring.SlowRecorded())
 	}
-	rec := sl.Recent()
-	if len(rec) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(rec))
-	}
-	if rec[0].Trace != 3 || rec[3].Trace != 6 {
+	rec := ring.Recent()
+	if len(rec) != 4 || rec[0].Trace != ids[5] || rec[3].Trace != ids[2] {
 		t.Fatalf("ring order wrong: %+v", rec)
 	}
-	if !sl.Contains(5) || sl.Contains(1) {
-		t.Fatal("Contains disagrees with the ring")
+	sp := rec[0].Spans
+	if !rec[0].Slow || len(sp) != 1 || sp[0].Node != "memo@a" || sp[0].Hop != 1 || sp[0].Folder != 2 || sp[0].Dur <= 0 {
+		t.Fatalf("slow sample wrong: %+v", rec[0])
 	}
-	if got := sl.Recorded(); got != 6 {
-		t.Fatalf("recorded = %d, want 6", got)
+	if len(logged) != 6 || logged[5].trace != ids[5] || logged[5].sp.Node != "memo@a" {
+		t.Fatalf("OnSlow saw %+v", logged)
+	}
+	// A relay hop never stamps, but a slow request its entry node left
+	// traceless still gets a record under a fresh ID.
+	q := &wire.Request{Op: wire.OpGet, Hops: 1}
+	sc := tr.Begin(q)
+	time.Sleep(time.Microsecond)
+	tr.End(q, sc, wire.OK(), wire.Span{Layer: "memo"})
+	if q.TraceID != 0 || ring.Recorded() != 7 || ring.Recent()[0].Trace == 0 {
+		t.Fatalf("traceless relay request: trace=%x recorded=%d newest=%+v", q.TraceID, ring.Recorded(), ring.Recent()[0])
 	}
 
-	var emitted []SlowEntry
-	sl.SetEmit(func(e SlowEntry) { emitted = append(emitted, e) })
-	sl.Observe(9, 2, "put", 0, "folder-0@b", time.Second)
-	if len(emitted) != 1 || emitted[0].Trace != 9 || emitted[0].Hop != 2 {
-		t.Fatalf("emit callback saw %+v", emitted)
-	}
-
-	sl.SetThreshold(0)
-	if sl.Enabled() {
-		t.Fatal("threshold 0 should disable")
+	fast := NewTracer("memo@a", 0, time.Hour, 4)
+	q = &wire.Request{Op: wire.OpGet}
+	fast.End(q, fast.Begin(q), wire.OK(), wire.Span{Layer: "memo"})
+	if q.TraceID == 0 || fast.Ring().Recorded() != 0 {
+		t.Fatalf("under-threshold request: trace=%x recorded=%d", q.TraceID, fast.Ring().Recorded())
 	}
 }
 
-func TestNilSlowLog(t *testing.T) {
-	var sl *SlowLog
-	if sl.Enabled() {
-		t.Fatal("nil log enabled")
+// TestNilTracer: a nil tracer records nothing and times nothing of its own,
+// but still times a layer span into a set an enclosing wrapper owns — the
+// embedded folder server under its memo server.
+func TestNilTracer(t *testing.T) {
+	var tr *Tracer
+	q := &wire.Request{Op: wire.OpGet, Sampled: true}
+	if tr.Begin(q).Timed() || q.TraceID != 0 {
+		t.Fatal("nil tracer timed or stamped a request")
 	}
-	sl.Observe(1, 0, "get", 0, "x", time.Hour)
-	if sl.Recent() != nil || sl.Contains(1) || sl.Recorded() != 0 {
-		t.Fatal("nil log should be inert")
+	set := wire.NewSpanSet()
+	q.Spans = set
+	sc := tr.Begin(q)
+	if !sc.Timed() {
+		t.Fatal("nil tracer did not time a span into the enclosing set")
 	}
-	sl.SetThreshold(time.Second)
-	sl.SetEmit(func(SlowEntry) {})
+	tr.End(q, sc, wire.OK(), wire.Span{Node: "folder-0@a", Layer: "folder"})
+	if set.Len() != 1 {
+		t.Fatalf("enclosing set holds %d spans, want 1", set.Len())
+	}
+	set.Release()
+	if tr.Ring() != nil {
+		t.Fatal("nil tracer has a ring")
+	}
+	var ring *TraceRing
+	ring.Record(TraceSample{Trace: 1, Spans: []wire.Span{{}}, Slow: true})
+	if ring.Recent() != nil || ring.Get(1) != nil || ring.Recorded() != 0 || ring.SlowRecorded() != 0 {
+		t.Fatal("nil ring should be inert")
+	}
 }
 
 func TestNewTraceID(t *testing.T) {

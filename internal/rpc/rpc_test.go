@@ -288,7 +288,7 @@ func TestOneEntryBatchRoundTrip(t *testing.T) {
 	}
 	// A malformed lone request gets an error response, not a dead channel.
 	ch := rawChannel(t, echoHandler, nil)
-	if err := ch.Send(wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: []byte{0xFF, 0xFF}}})); err != nil {
+	if err := ch.Send(wire.AppendBatch(nil, wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: []byte{0xFF, 0xFF}}})); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := ch.Recv()
@@ -372,7 +372,7 @@ func rawChannel(t *testing.T, h Handler, served chan<- error) *transport.Channel
 
 func TestMalformedBatchEntryGetsErrorResponse(t *testing.T) {
 	ch := rawChannel(t, echoHandler, nil)
-	frame := wire.EncodeBatch(wire.BatchRequest, []wire.BatchEntry{
+	frame := wire.AppendBatch(nil, wire.BatchRequest, []wire.BatchEntry{
 		{ID: 9, Msg: []byte{0xFF, 0xFF}},
 		{ID: 10, Msg: wire.EncodeRequest(&wire.Request{Op: wire.OpPing})},
 	})

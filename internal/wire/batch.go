@@ -120,10 +120,10 @@ func IsBatchFrame(buf []byte) bool {
 }
 
 // AppendBatch serializes a batch frame onto dst (which is returned, possibly
-// reallocated) — the encode-in-place variant: the rpc batcher appends into a
-// pooled buffer with the mux channel header's worst-case space reserved up
-// front, so the frame never moves again between encoder and wire. The bytes
-// appended are identical to EncodeBatch's output.
+// reallocated; nil allocates a fresh frame) — the encode-in-place encoder:
+// the rpc batcher appends into a pooled buffer with the mux channel header's
+// worst-case space reserved up front, so the frame never moves again between
+// encoder and wire. The bytes appended do not depend on dst's prefix.
 //
 //memolint:returns-buffer
 func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
@@ -175,15 +175,6 @@ func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {
 // length, message length).
 func BatchOverhead(entries, msgBytes int) int {
 	return 16 + msgBytes + entries*(2*10+1+10+2*10+10)
-}
-
-// EncodeBatch serializes a batch frame into a fresh buffer.
-func EncodeBatch(kind BatchKind, entries []BatchEntry) []byte {
-	size := 16
-	for _, e := range entries {
-		size += len(e.Msg) + 12
-	}
-	return AppendBatch(make([]byte, 0, size), kind, entries)
 }
 
 // DecodeBatch parses a batch frame. Entry messages are returned still

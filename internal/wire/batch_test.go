@@ -31,7 +31,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	entries = append(entries, BatchEntry{ID: 202, Token: 7, Trace: 9, Hop: 1,
 		Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(3), Payload: []byte("both")})})
 
-	frame := EncodeBatch(BatchRequest, entries)
+	frame := AppendBatch(nil, BatchRequest, entries)
 	if !IsBatchFrame(frame) {
 		t.Fatal("encoded batch not recognized as batch frame")
 	}
@@ -72,9 +72,9 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 	}
 	var entries []BatchEntry
 	for i, p := range resps {
-		entries = append(entries, BatchEntry{ID: uint64(i), Msg: EncodeResponse(p)})
+		entries = append(entries, BatchEntry{ID: uint64(i), Msg: AppendResponse(nil, p)})
 	}
-	kind, got, err := DecodeBatch(EncodeBatch(BatchResponse, entries))
+	kind, got, err := DecodeBatch(AppendBatch(nil, BatchResponse, entries))
 	if err != nil || kind != BatchResponse {
 		t.Fatalf("kind %v err %v", kind, err)
 	}
@@ -91,7 +91,7 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 
 func TestBatchEmptyAndErrors(t *testing.T) {
 	// Empty batches round-trip.
-	kind, entries, err := DecodeBatch(EncodeBatch(BatchResponse, nil))
+	kind, entries, err := DecodeBatch(AppendBatch(nil, BatchResponse, nil))
 	if err != nil || kind != BatchResponse || len(entries) != 0 {
 		t.Fatalf("empty batch: %v %v %v", kind, entries, err)
 	}
@@ -100,7 +100,7 @@ func TestBatchEmptyAndErrors(t *testing.T) {
 	if IsBatchFrame(EncodeRequest(&Request{Op: OpPing})) {
 		t.Fatal("single request mistaken for batch")
 	}
-	if IsBatchFrame(EncodeResponse(OK())) {
+	if IsBatchFrame(AppendResponse(nil, OK())) {
 		t.Fatal("single response mistaken for batch")
 	}
 	if IsBatchFrame(nil) {
@@ -114,7 +114,7 @@ func TestBatchEmptyAndErrors(t *testing.T) {
 		"truncated count": {batchMagic, BatchVersion, byte(BatchRequest)},
 		"huge count":      {batchMagic, BatchVersion, byte(BatchRequest), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 		"truncated entry": {batchMagic, BatchVersion, byte(BatchRequest), 1, 5},
-		"trailing bytes":  append(EncodeBatch(BatchRequest, nil), 0xAA),
+		"trailing bytes":  append(AppendBatch(nil, BatchRequest, nil), 0xAA),
 	} {
 		if _, _, err := DecodeBatch(buf); err == nil {
 			t.Errorf("%s: decode succeeded", name)
@@ -127,7 +127,7 @@ func TestBatchEmptyAndErrors(t *testing.T) {
 // to version 1 frames that predate both flag-gated extensions.
 func TestBatchExtensionFreeLayout(t *testing.T) {
 	msg := []byte{0xAA, 0xBB}
-	frame := EncodeBatch(BatchRequest, []BatchEntry{{ID: 5, Msg: msg}})
+	frame := AppendBatch(nil, BatchRequest, []BatchEntry{{ID: 5, Msg: msg}})
 	want := []byte{
 		batchMagic, BatchVersion, byte(BatchRequest),
 		1,          // entry count
@@ -142,7 +142,7 @@ func TestBatchExtensionFreeLayout(t *testing.T) {
 }
 
 func TestBatchVersionedRejectsFuture(t *testing.T) {
-	frame := EncodeBatch(BatchRequest, []BatchEntry{{ID: 1, Msg: EncodeRequest(&Request{Op: OpPing})}})
+	frame := AppendBatch(nil, BatchRequest, []BatchEntry{{ID: 1, Msg: EncodeRequest(&Request{Op: OpPing})}})
 	frame[1] = BatchVersion + 1
 	if _, _, err := DecodeBatch(frame); err == nil {
 		t.Fatal("future version accepted")

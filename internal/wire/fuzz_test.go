@@ -58,19 +58,19 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzAppendEncoders checks the encode-in-place variants against the
-// allocating encoders on every decodable input: AppendRequest/AppendResponse/
-// AppendBatch must produce byte-identical output after any prefix, so a
-// buffer with transport header space reserved up front carries exactly the
-// frame the wire format promises.
+// FuzzAppendEncoders checks the encode-in-place encoders on every decodable
+// input: AppendRequest/AppendResponse/AppendBatch must append after any
+// prefix exactly the bytes they produce on a fresh buffer (EncodeRequest for
+// requests), so a buffer with transport header space reserved up front
+// carries exactly the frame the wire format promises.
 func FuzzAppendEncoders(f *testing.F) {
 	for _, q := range seedRequests() {
 		f.Add(EncodeRequest(q))
 	}
 	for _, p := range seedResponses() {
-		f.Add(EncodeResponse(p))
+		f.Add(AppendResponse(nil, p))
 	}
-	f.Add(EncodeBatch(BatchRequest, []BatchEntry{{ID: 1, Token: 7, Msg: EncodeRequest(&Request{Op: OpPing})}}))
+	f.Add(AppendBatch(nil, BatchRequest, []BatchEntry{{ID: 1, Token: 7, Msg: EncodeRequest(&Request{Op: OpPing})}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prefix := []byte("0123456789abcdefghijk") // ~MuxHeaderSpace of reserved scratch
 		if q, err := DecodeRequest(data); err == nil {
@@ -84,20 +84,20 @@ func FuzzAppendEncoders(f *testing.F) {
 			}
 		}
 		if p, err := DecodeResponse(data); err == nil {
-			want := EncodeResponse(p)
+			want := AppendResponse(nil, p)
 			got := AppendResponse(append([]byte(nil), prefix...), p)
 			if !bytes.Equal(got[len(prefix):], want) || !bytes.Equal(got[:len(prefix)], prefix) {
-				t.Fatalf("AppendResponse diverged from EncodeResponse")
+				t.Fatalf("AppendResponse after a prefix diverged from a fresh encode")
 			}
 			if len(want) > ResponseOverhead(p) {
 				t.Fatalf("ResponseOverhead underestimates: encoded %d > bound %d", len(want), ResponseOverhead(p))
 			}
 		}
 		if kind, entries, err := DecodeBatch(data); err == nil {
-			want := EncodeBatch(kind, entries)
+			want := AppendBatch(nil, kind, entries)
 			got := AppendBatch(append([]byte(nil), prefix...), kind, entries)
 			if !bytes.Equal(got[len(prefix):], want) || !bytes.Equal(got[:len(prefix)], prefix) {
-				t.Fatalf("AppendBatch diverged from EncodeBatch")
+				t.Fatalf("AppendBatch after a prefix diverged from a fresh encode")
 			}
 		}
 	})
@@ -113,7 +113,7 @@ func FuzzAliasRetain(f *testing.F) {
 		f.Add(EncodeRequest(q))
 	}
 	for _, p := range seedResponses() {
-		f.Add(EncodeResponse(p))
+		f.Add(AppendResponse(nil, p))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if q, err := DecodeRequest(data); err == nil {
@@ -144,7 +144,7 @@ func FuzzAliasRetain(f *testing.F) {
 
 func FuzzDecodeResponse(f *testing.F) {
 	for _, p := range seedResponses() {
-		f.Add(EncodeResponse(p))
+		f.Add(AppendResponse(nil, p))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
@@ -153,7 +153,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		buf := EncodeResponse(p)
+		buf := AppendResponse(nil, p)
 		p2, err := DecodeResponse(buf)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -173,12 +173,12 @@ func FuzzDecodeBatch(f *testing.F) {
 		BatchEntry{ID: 97, Token: 0xABCDEF, Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(3)})},
 		BatchEntry{ID: 96, Sampled: true, Trace: 0x1F3A8C22, Hop: 1, Msg: EncodeRequest(&Request{Op: OpPut, Key: symbol.K(4)})})
 	for i, p := range seedResponses() {
-		respEntries = append(respEntries, BatchEntry{ID: uint64(i), Msg: EncodeResponse(p)})
+		respEntries = append(respEntries, BatchEntry{ID: uint64(i), Msg: AppendResponse(nil, p)})
 	}
-	respEntries = append(respEntries, BatchEntry{ID: 95, Spans: AppendSpans(nil, sampleSpans()), Msg: EncodeResponse(OK())})
-	f.Add(EncodeBatch(BatchRequest, reqEntries))
-	f.Add(EncodeBatch(BatchResponse, respEntries))
-	f.Add(EncodeBatch(BatchRequest, nil))
+	respEntries = append(respEntries, BatchEntry{ID: 95, Spans: AppendSpans(nil, sampleSpans()), Msg: AppendResponse(nil, OK())})
+	f.Add(AppendBatch(nil, BatchRequest, reqEntries))
+	f.Add(AppendBatch(nil, BatchResponse, respEntries))
+	f.Add(AppendBatch(nil, BatchRequest, nil))
 	f.Add([]byte{batchMagic})
 	f.Add([]byte{batchMagic, BatchVersion, byte(BatchRequest), 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -202,7 +202,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 		}
 		// Canonical re-encode round-trips.
-		frame := EncodeBatch(kind, entries)
+		frame := AppendBatch(nil, kind, entries)
 		kind2, entries2, err := DecodeBatch(frame)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

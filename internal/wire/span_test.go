@@ -104,7 +104,7 @@ func TestSpanlessBatchByteIdentical(t *testing.T) {
 		{ID: 300, Msg: []byte{}},
 		{ID: 2, Msg: []byte("x")},
 	}
-	got := EncodeBatch(BatchRequest, entries)
+	got := AppendBatch(nil, BatchRequest, entries)
 
 	var want []byte
 	want = append(want, batchMagic, BatchVersion, byte(BatchRequest))
@@ -122,8 +122,9 @@ func TestSpanlessBatchByteIdentical(t *testing.T) {
 	}
 
 	// Sanity check the converse: any extension flips at least one byte.
-	sampled := EncodeBatch(BatchRequest, []BatchEntry{{ID: 1, Sampled: true, Msg: []byte("req-one")}})
-	if bytes.Equal(sampled[:len(got)], got[:len(sampled)]) {
+	plain := AppendBatch(nil, BatchRequest, entries[:1])
+	sampled := AppendBatch(nil, BatchRequest, []BatchEntry{{ID: 1, Sampled: true, Msg: []byte("req-one")}})
+	if bytes.Equal(sampled, plain) {
 		t.Fatal("sampled entry encoded identically to a plain entry")
 	}
 }

@@ -114,8 +114,8 @@ type Request struct {
 	// extension (see batch.go), and the rpc layer re-attaches it at every
 	// hop.
 	Token uint64
-	// TraceID identifies the request across hops for the slow-request log
-	// (0 = untraced). Like Token, it is NOT part of the request codec — it
+	// TraceID identifies the request across hops in every node's trace
+	// ring (0 = untraced). Like Token, it is NOT part of the request codec — it
 	// travels as a batch-entry extension (see batch.go) and the rpc layer
 	// re-attaches it at every hop.
 	TraceID uint64
@@ -437,11 +437,6 @@ func AppendResponse(dst []byte, p *Response) []byte {
 	w.bytes(p.Payload)
 	w.str(p.Err)
 	return w.buf
-}
-
-// EncodeResponse serializes a response into a fresh buffer.
-func EncodeResponse(p *Response) []byte {
-	return AppendResponse(make([]byte, 0, 32+len(p.Payload)), p)
 }
 
 // DecodeResponse parses a response. The returned response's Payload ALIASES

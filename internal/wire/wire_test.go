@@ -50,7 +50,7 @@ func TestMinimalRequest(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	p := &Response{Status: StatusWake, Key: symbol.K(3, 4), Payload: []byte("xyz"), Err: "nope"}
-	got, err := DecodeResponse(EncodeResponse(p))
+	got, err := DecodeResponse(AppendResponse(nil, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDecodeRequestTruncated(t *testing.T) {
 }
 
 func TestDecodeResponseTruncated(t *testing.T) {
-	full := EncodeResponse(&Response{Status: StatusOK, Key: symbol.K(1), Payload: []byte("p")})
+	full := AppendResponse(nil, &Response{Status: StatusOK, Key: symbol.K(1), Payload: []byte("p")})
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeResponse(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -92,7 +92,7 @@ func TestInvalidOpRejected(t *testing.T) {
 }
 
 func TestInvalidStatusRejected(t *testing.T) {
-	buf := EncodeResponse(OK())
+	buf := AppendResponse(nil, OK())
 	buf[0] = 99
 	if _, err := DecodeResponse(buf); err == nil {
 		t.Fatal("invalid status accepted")
@@ -103,7 +103,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 	if _, err := DecodeRequest(append(EncodeRequest(&Request{Op: OpPing}), 0)); err == nil {
 		t.Fatal("trailing request bytes accepted")
 	}
-	if _, err := DecodeResponse(append(EncodeResponse(OK()), 0)); err == nil {
+	if _, err := DecodeResponse(append(AppendResponse(nil, OK()), 0)); err == nil {
 		t.Fatal("trailing response bytes accepted")
 	}
 }

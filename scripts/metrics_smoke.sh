@@ -30,8 +30,10 @@ echo "==> build memo CLI"
 go build -o "$tmp/memo" ./cmd/memo
 
 echo "==> start daemons"
+# A 1ns threshold makes every memoserverd request slow, so the slow-trace
+# check below is deterministic.
 "$tmp/memoserverd" -host smoke -listen 127.0.0.1:7640 \
-	-debug-addr 127.0.0.1:7641 -slow-request-threshold 1ms \
+	-debug-addr 127.0.0.1:7641 -slow-request-threshold 1ns \
 	-trace-sample 1 -ready-file "$tmp/smoke.ready" \
 	-data-dir "$tmp/memo-data" >"$tmp/memoserverd.log" 2>&1 &
 memo_pid=$!
@@ -119,6 +121,18 @@ trace_id="$(printf '%s' "$put_out" | sed -n 's/.*"trace":"\([^"]*\)".*/\1/p')"
 curl -sf "http://127.0.0.1:7641/tracez?trace=$trace_id" | grep -q '"layer": *"memo"' || {
 	echo "/tracez does not serve the sampled trace $trace_id" >&2
 	curl -s "http://127.0.0.1:7641/tracez" >&2 || true
+	exit 1
+}
+
+echo "==> slow requests land in /tracez?slow=1; /slowz is gone"
+curl -sf "http://127.0.0.1:7641/tracez?slow=1" | grep -q '"layer": *"memo"' || {
+	echo "/tracez?slow=1 lists no slow memo span" >&2
+	curl -s "http://127.0.0.1:7641/tracez" >&2 || true
+	exit 1
+}
+slowz_code="$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:7641/slowz")"
+[ "$slowz_code" = 404 ] || {
+	echo "/slowz answered $slowz_code, want 404" >&2
 	exit 1
 }
 

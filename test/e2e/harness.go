@@ -435,10 +435,10 @@ func (c *Cluster) Abort() {
 
 // Forensics scrapes every node's debug endpoints into dir — called on a
 // failed run before the cluster is torn down, so the artifact bundle holds
-// the metrics, link health, slow-request rings, and span trees of the run
-// the oracle rejected. Per-node scrape failures are recorded inside the
-// bundle instead of aborting it: a node may legitimately be dead at failure
-// time.
+// the metrics, link health, and trace rings (slow requests included) of
+// the run the oracle rejected. Per-node scrape failures are recorded inside
+// the bundle instead of aborting it: a node may legitimately be dead at
+// failure time.
 func (c *Cluster) Forensics(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -447,7 +447,6 @@ func (c *Cluster) Forensics(dir string) error {
 		for _, ep := range []struct{ path, file string }{
 			{"/metrics", d.Host + "-metrics.txt"},
 			{"/statusz", d.Host + "-statusz.json"},
-			{"/slowz", d.Host + "-slowz.json"},
 			{"/tracez", d.Host + "-tracez.json"},
 		} {
 			body, err := scrapeBody(d.Debug, ep.path)

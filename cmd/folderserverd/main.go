@@ -40,7 +40,6 @@ func main() {
 	shards := flag.Int("shards", 0, "store lock-stripe count, rounded up to a power of two (0 = default)")
 	batchMax := flag.Int("batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
 	batchBytes := flag.Int("batch-bytes", 0, "max encoded bytes per rpc batch frame (0 = default 64KiB)")
-	batchLinger := flag.Duration("batch-linger", 0, "upper bound a queued response waits for batch companions (0 = default 100µs)")
 	idleTimeout := flag.Duration("idle-timeout", 15*time.Second, "close connections silent for this long (0 = never; rpc clients heartbeat when their receive side goes quiet, so only clients that send no heartbeats and make long blocking waits need this off)")
 	dataDir := flag.String("data-dir", "", "directory for durability (per-shard WAL + snapshots); empty keeps folders in memory only")
 	fsync := flag.String("fsync", "batch", "WAL sync policy: batch (group commit), always (fsync per record), never (trust the OS cache)")
@@ -62,7 +61,7 @@ func main() {
 	if *shards > 0 {
 		opts = append(opts, folder.WithShards(*shards))
 	}
-	pol := rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes, Linger: *batchLinger}
+	pol := rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes}
 	// The tracer exists even at -trace-sample 0: a request some memo server
 	// sampled upstream still collects spans here (relay-only mode).
 	tracer := obs.NewTracer(fmt.Sprintf("folder-%d@%s", *id, *host), *traceSample, *slowThreshold, 0)

@@ -70,7 +70,6 @@ func main() {
 	flag.Var(peers, "peer", "logical-host=tcp-addr mapping (repeatable)")
 	batchMax := flag.Int("batch-max", 0, "max requests coalesced per rpc batch frame (0 = default 64; 1 disables batching)")
 	batchBytes := flag.Int("batch-bytes", 0, "max encoded bytes per rpc batch frame (0 = default 64KiB)")
-	batchLinger := flag.Duration("batch-linger", 0, "upper bound a queued request waits for batch companions (0 = default 100µs)")
 	heartbeat := flag.Duration("heartbeat-interval", 5*time.Second, "probe receive-quiet links this often; a peer silent for 2x this is declared dead (0 disables heartbeats)")
 	idleTimeout := flag.Duration("idle-timeout", 15*time.Second, "close connections silent for this long (0 = never; defaults off when heartbeats are disabled, since blocking waits legitimately silence a connection)")
 	redialMin := flag.Duration("redial-backoff", 50*time.Millisecond, "first re-dial delay after a peer link dies; doubles per failure up to the transport cap, with jitter")
@@ -113,7 +112,7 @@ func main() {
 	mt := &mappedTransport{inner: tcp, listen: *listen, peers: peers}
 	node := memoserver.NewWithDialer(*host, mt,
 		memoserver.Config{
-			Batch: rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes, Linger: *batchLinger},
+			Batch: rpc.Policy{MaxCount: *batchMax, MaxBytes: *batchBytes},
 			Resilience: rpc.Resilience{
 				Heartbeat: *heartbeat,
 				Redial:    transport.Backoff{Min: *redialMin},

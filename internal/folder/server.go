@@ -206,38 +206,24 @@ func (s *Server) handle(q *wire.Request, cancel <-chan struct{}, ot *opTrace) *w
 
 // Serve accepts connections on l and answers requests until the listener
 // closes. Used by cmd/folderserverd; in the simulated cluster the memo
-// server calls Handle directly. Each virtual connection is driven by the
-// batching rpc server: requests dispatch concurrently through the thread
-// cache ("each request to a server will cause a thread to be created ...
-// thread caching to avoid the overhead") and responses coalesce into
-// batched frames.
+// server calls Handle directly. Each connection is driven by the batching
+// rpc server: requests dispatch concurrently through the thread cache
+// ("each request to a server will cause a thread to be created ... thread
+// caching to avoid the overhead") and responses coalesce into batched
+// frames.
 func (s *Server) Serve(l transport.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
-		mux := transport.NewMux(conn, transport.DefaultMTU)
-		go mux.Run()
-		go s.serveMux(mux)
-	}
-}
-
-func (s *Server) serveMux(mux *transport.Mux) {
-	for {
-		ch, err := mux.Accept()
-		if err != nil {
-			return
-		}
 		if err := s.pool.Submit(func() {
-			_ = rpc.Serve(ch, s.Handle, s.pool.SubmitArg, s.batch)
-			ch.Close()
+			_ = rpc.Serve(conn, s.Handle, s.pool.SubmitArg, s.batch)
+			conn.Close()
 		}); err != nil {
-			// Shutting down. Closing the channel is the whole message: an
-			// rpc peer has no request id to match an unsolicited response
-			// to.
-			ch.Close()
-			return
+			// Shutting down. Closing the conn is the whole message: an rpc
+			// peer has no request id to match an unsolicited response to.
+			conn.Close()
 		}
 	}
 }

@@ -121,17 +121,18 @@ func TestServeOverTCP(t *testing.T) {
 	t.Cleanup(func() { l.Close() })
 	go s.Serve(l)
 
-	conn, err := transport.NewTCP().Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
+	dial := func() transport.Conn {
+		t.Helper()
+		conn, err := transport.NewTCP().Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
 	}
-	mux := transport.NewMux(conn, 4096)
-	go mux.Run()
-	t.Cleanup(func() { mux.Close() })
-
 	// Each call travels as a one-entry batch frame — the only framing the
 	// server accepts.
-	c := rpc.NewConn(mux.Channel(1), rpc.Policy{})
+	c := rpc.NewConn(dial(), rpc.Policy{})
 	t.Cleanup(func() { c.Close() })
 	do := func(c *rpc.Conn, q *wire.Request) *wire.Response {
 		t.Helper()
@@ -150,8 +151,8 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatalf("get: %+v", r)
 	}
 
-	// A malformed request gets an error response, not a dropped channel.
-	raw := mux.Channel(2)
+	// A malformed request gets an error response, not a dropped connection.
+	raw := dial()
 	if err := raw.Send(wire.AppendBatch(nil, wire.BatchRequest, []wire.BatchEntry{{ID: 1, Msg: []byte{0xFF, 0xFF}}})); err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +168,14 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatalf("malformed request response: %+v %v", resp, err)
 	}
 
-	// Concurrent channels against one server.
+	// Concurrent connections against one server.
 	var wg sync.WaitGroup
 	for i := 3; i < 9; i++ {
 		wg.Add(1)
+		conn := dial()
 		go func(i int) {
 			defer wg.Done()
-			c := rpc.NewConn(mux.Channel(uint64(i)), rpc.Policy{})
+			c := rpc.NewConn(conn, rpc.Policy{})
 			defer c.Close()
 			key := symbol.K(symbol.Symbol(i))
 			for j := 0; j < 20; j++ {

@@ -80,11 +80,7 @@ func DialClientPolicy(dial DialFunc, host, app string, pol rpc.Policy) (*Client,
 func DialClientResilient(dial DialFunc, host, app string, pol rpc.Policy, res rpc.Resilience) (*Client, error) {
 	c := &Client{Host: host, App: app, res: res}
 	c.link = newRlink(func() (transport.Conn, error) {
-		raw, err := dial(host, MemoAddr(host))
-		if err != nil {
-			return nil, err
-		}
-		return dialMux(raw), nil
+		return dial(host, MemoAddr(host))
 	}, pol, res)
 	if _, _, err := c.link.get(nil); err != nil {
 		c.link.close()
@@ -121,6 +117,10 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	if q.TraceID != 0 {
 		c.lastTrace.Store(q.TraceID)
 	}
+	// sent records whether any attempt may have reached the wire: a later
+	// attempt failing before the wire must not hide that from the caller,
+	// for whom LinkError.Sent == false is a guarantee.
+	sent := false
 	for attempt := 0; ; attempt++ {
 		conn, epoch, err := c.link.get(cancel)
 		if err != nil {
@@ -133,7 +133,11 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 				c.retried.Inc()
 				continue
 			}
-			return nil, fmt.Errorf("memoserver: dial %s: %w", c.Host, err)
+			err = fmt.Errorf("memoserver: dial %s: %w", c.Host, err)
+			if sent {
+				return nil, &rpc.LinkError{Sent: true, Cause: err}
+			}
+			return nil, err
 		}
 		resp, err := conn.Call(q, cancel)
 		if err == nil {
@@ -146,8 +150,12 @@ func (c *Client) Do(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 		if errors.As(err, &le) {
 			c.link.fault(epoch)
 			if attempt < c.res.Retries && (!le.Sent || retriableInFlight(q)) {
+				sent = sent || le.Sent
 				c.retried.Inc()
 				continue
+			}
+			if sent && !le.Sent {
+				err = &rpc.LinkError{Sent: true, Cause: le.Cause}
 			}
 		}
 		return nil, err

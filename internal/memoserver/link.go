@@ -24,27 +24,6 @@ type rlink struct {
 	conn  *rpc.Conn
 }
 
-// muxChannel is the conn an rlink's Redialer manages: one rpc virtual
-// circuit whose Close also retires the mux carrying it, so a faulted link
-// leaks neither.
-type muxChannel struct {
-	*transport.Channel
-	mux *transport.Mux
-}
-
-func (m *muxChannel) Close() error {
-	_ = m.Channel.Close()
-	return m.mux.Close()
-}
-
-// dialMux wraps a raw transport conn into the mux-backed channel an rlink
-// manages.
-func dialMux(raw transport.Conn) transport.Conn {
-	mux := transport.NewMux(raw, transport.DefaultMTU)
-	go mux.Run()
-	return &muxChannel{Channel: mux.Channel(1), mux: mux}
-}
-
 func newRlink(dial func() (transport.Conn, error), pol rpc.Policy, res rpc.Resilience) *rlink {
 	return &rlink{rd: transport.NewRedialer(dial, res.Redial), pol: pol, res: res}
 }

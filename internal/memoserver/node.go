@@ -156,7 +156,7 @@ type Node struct {
 	peers sync.Map // host -> *peerLink
 
 	mu       sync.Mutex
-	inbound  []*transport.Mux
+	inbound  []transport.Conn
 	listener transport.Listener
 	closed   bool
 
@@ -194,11 +194,7 @@ func (n *Node) newPeerLink(host string) *peerLink {
 		if n.isClosed() {
 			return nil, fmt.Errorf("memo server %s closed", n.Host)
 		}
-		raw, err := n.dialFrom(n.Host, MemoAddr(host))
-		if err != nil {
-			return nil, err
-		}
-		return dialMux(raw), nil
+		return n.dialFrom(n.Host, MemoAddr(host))
 	}
 	return &peerLink{host: host, rlink: newRlink(dial, n.cfg.Batch, n.cfg.Resilience)}
 }
@@ -320,43 +316,30 @@ func (n *Node) isClosed() bool {
 	return n.closed
 }
 
+// acceptLoop answers each accepted connection with the batching rpc
+// server: requests dispatch concurrently through the node's thread cache,
+// and responses coalesce into batched frames.
 func (n *Node) acceptLoop(l transport.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		mux := transport.NewMux(conn, transport.DefaultMTU)
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
-			mux.Close()
+			conn.Close()
 			return
 		}
-		n.inbound = append(n.inbound, mux)
+		n.inbound = append(n.inbound, conn)
 		n.mu.Unlock()
-		go mux.Run()
-		go n.serveMux(mux)
-	}
-}
-
-// serveMux answers each accepted virtual connection with the batching rpc
-// server: requests dispatch concurrently through the node's thread cache,
-// and responses coalesce into batched frames.
-func (n *Node) serveMux(mux *transport.Mux) {
-	for {
-		ch, err := mux.Accept()
-		if err != nil {
-			return
-		}
 		if err := n.pool.Submit(func() {
-			_ = rpc.Serve(ch, n.Dispatch, n.pool.SubmitArg, n.cfg.Batch)
-			ch.Close()
+			_ = rpc.Serve(conn, n.Dispatch, n.pool.SubmitArg, n.cfg.Batch)
+			conn.Close()
 		}); err != nil {
-			// Shutting down. Closing the channel is the whole message: an
-			// rpc peer has no request id to match an unsolicited response
-			// to.
-			ch.Close()
+			// Shutting down. Closing the conn is the whole message: an rpc
+			// peer has no request id to match an unsolicited response to.
+			conn.Close()
 			return
 		}
 	}

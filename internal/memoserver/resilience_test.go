@@ -1,6 +1,7 @@
 package memoserver
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -119,6 +120,45 @@ func TestForwardFailsFastAndRedialsAfterSever(t *testing.T) {
 	}
 	if got := tn.nodes["a"].Stats(); got.Retried == 0 {
 		t.Fatalf("stats: %+v, want Retried > 0 (transparent retries never fired)", got)
+	}
+}
+
+// TestClientRetryKeepsSentFlag: once any attempt of a Do may have reached
+// the wire, the error Do finally returns must say so, even when the last
+// attempt never left the client. A watch parks on folder 0 (local to a),
+// the link is severed under it (attempt one fails in flight; watch is
+// retriable), and the re-dial is refused (attempt two sends nothing).
+func TestClientRetryKeepsSentFlag(t *testing.T) {
+	res := rpc.Resilience{
+		Redial:  transport.Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond},
+		Retries: 1,
+	}
+	tn, flaky := bootFlakyNet(t, twoHostADF, Config{})
+	c := flakyClient(t, tn, flaky, "a", res)
+	before := tn.nodes["a"].Stats().LocalOps
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Do(&wire.Request{Op: wire.OpWatch, FolderID: 0, Keys: []symbol.Key{symbol.K(9)}}, nil)
+		errc <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for tn.nodes["a"].Stats().LocalOps == before {
+		if time.Now().After(deadline) {
+			t.Fatal("watch never reached the memo server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	flaky.Sever("", "")
+
+	select {
+	case err := <-errc:
+		var le *rpc.LinkError
+		if !errors.As(err, &le) || !le.Sent {
+			t.Fatalf("Do after an in-flight attempt: %v, want *rpc.LinkError with Sent", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do hung after the link was severed")
 	}
 }
 

@@ -35,7 +35,8 @@ import (
 
 // Size classes: powers of two from minSize (64 B) through maxSize (1 MiB).
 // Requests beyond maxSize fall through to plain allocation and are dropped
-// on Put — frames that large are fragmented by the mux anyway.
+// on Put — an rpc frame is capped at 64 KiB of entries by default, so only
+// outsized memos (up to transport.MaxFrame) ever reach that path.
 const (
 	minShift = 6
 	maxShift = 20

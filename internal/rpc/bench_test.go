@@ -13,12 +13,12 @@ import (
 
 // BenchmarkRPCBatchedRoundTrip measures request round trips over the
 // simulated-latency transport with 1, 8, and 64 concurrent callers sharing
-// one connection, batched (default flush policy) versus unbatched
-// (MaxCount = 1: one frame per message — the pre-batching wire behaviour).
+// one connection, batched (default policy) versus unbatched (MaxCount = 1:
+// one frame per message — the pre-batching wire behaviour).
 //
-// The sim transport charges each transport message one link delay, and the
-// mux serializes sends on the shared physical conn, exactly like a real
-// link: unbatched concurrent callers queue behind each other's frames,
+// The sim transport charges each transport message one link delay, and a
+// batcher has one flusher at a time, so sends serialize on the conn exactly
+// like a real link: unbatched concurrent callers queue behind each other's frames,
 // batched callers amortize one delay over a whole frame of requests.
 func BenchmarkRPCBatchedRoundTrip(b *testing.B) {
 	const linkDelay = 50 * time.Microsecond
@@ -47,34 +47,13 @@ func benchRoundTrips(b *testing.B, callers int, pol Policy, linkDelay time.Durat
 		b.Fatal(err)
 	}
 	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mux := transport.NewMux(conn, 1<<20)
-			go mux.Run()
-			go func() {
-				for {
-					ch, err := mux.Accept()
-					if err != nil {
-						return
-					}
-					go Serve(ch, echoBenchHandler, nil, pol)
-				}
-			}()
-		}
-	}()
+	go serveLoop(l, echoBenchHandler, nil, pol)
 
 	conn, err := sim.DialFrom("cli", "srv/rpc")
 	if err != nil {
 		b.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 1<<20)
-	go mux.Run()
-	defer mux.Close()
-	c := NewConn(mux.Channel(1), pol)
+	c := NewConn(conn, pol)
 	defer c.Close()
 
 	// Warm the path so setup cost stays out of the measurement.

@@ -13,8 +13,8 @@ import (
 
 // Conn is the client side of one pipelined RPC connection. Any number of
 // goroutines may Call concurrently; their requests share one transport
-// channel, coalesce into batch frames under the flush policy, and complete
-// out of order, matched by id.
+// conn, coalesce into batch frames, and complete out of order, matched by
+// id. A caller that finds no flush running sends its own frame.
 type Conn struct {
 	ch  transport.Conn
 	pol Policy
@@ -65,11 +65,11 @@ func getCall() *call {
 	return ca
 }
 
-// NewConn starts an RPC connection over ch (typically one transport.Mux
-// channel) and its receive loop. The zero Policy means defaults;
-// heartbeats run at DefaultHeartbeat, so every rpc client is safe against
-// daemon-side idle timeouts out of the box — use NewConnResilient to tune
-// the interval or disable probing.
+// NewConn starts an RPC connection over ch (a dialed transport conn) and
+// its receive loop. The zero Policy means defaults; heartbeats run at
+// DefaultHeartbeat, so every rpc client is safe against daemon-side idle
+// timeouts out of the box — use NewConnResilient to tune the interval or
+// disable probing.
 func NewConn(ch transport.Conn, pol Policy) *Conn {
 	return NewConnResilient(ch, pol, Resilience{Heartbeat: DefaultHeartbeat})
 }
@@ -102,11 +102,18 @@ func NewConnResilient(ch transport.Conn, pol Policy, res Resilience) *Conn {
 }
 
 // markSent stamps outbound activity and flags each request entry's call as
-// handed to the wire, just before the frame ships.
-func (c *Conn) markSent(entries []wire.BatchEntry) {
+// handed to the wire, just before the frame ships. It refuses the frame
+// once the conn has failed: a caller woken by the failure reads its sent
+// flag under c.mu, so a frame marked after that point must never ship, or
+// LinkError.Sent == false would stop being a guarantee.
+func (c *Conn) markSent(entries []wire.BatchEntry) bool {
 	now := time.Now().UnixNano()
 	c.lastSent.Store(now)
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return false
+	}
 	for _, e := range entries {
 		if e.Cancel || e.Heartbeat {
 			continue
@@ -118,13 +125,15 @@ func (c *Conn) markSent(entries []wire.BatchEntry) {
 			}
 		}
 	}
-	c.mu.Unlock()
+	return true
 }
 
 // Call sends one request and blocks for its response. Closing cancel
 // abandons the call: a cancel entry tells the server to unblock and discard
-// the request, and Call returns ErrCanceled without waiting for it. If the
-// link dies, Call fails fast with a *LinkError (errors.Is ErrLinkDown).
+// the request, and Call returns ErrCanceled without waiting for it — unless
+// the response had already arrived, which Call then returns. A request too
+// large for one frame fails with transport.ErrTooLarge. If the link dies,
+// Call fails fast with a *LinkError (errors.Is ErrLinkDown).
 func (c *Conn) Call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, error) {
 	mCalls.Inc()
 	mCallsInflight.Add(1)
@@ -144,6 +153,11 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	// bounds the whole message (keys and strings included), so the append
 	// never outgrows the buffer.
 	msg := wire.AppendRequest(pool.Get(wire.RequestOverhead(q)), q)
+	if !fitsFrame(len(msg)) {
+		n := len(msg)
+		pool.Put(msg)
+		return nil, fmt.Errorf("rpc: %d-byte request: %w", n, transport.ErrTooLarge)
+	}
 	ca := getCall()
 	c.mu.Lock()
 	if c.err != nil {
@@ -164,7 +178,7 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 	if q.Sampled {
 		startNS = time.Now().UnixNano()
 	}
-	c.out.add(wire.BatchEntry{ID: id, Token: q.Token, Trace: q.TraceID, Hop: q.TraceHop, Sampled: q.Sampled, Msg: msg})
+	c.out.add(wire.BatchEntry{ID: id, Token: q.Token, Trace: q.TraceID, Hop: q.TraceHop, Sampled: q.Sampled, Msg: msg}, true)
 
 	select {
 	case resp := <-ca.rc:
@@ -186,9 +200,18 @@ func (c *Conn) call(q *wire.Request, cancel <-chan struct{}) (*wire.Response, er
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
+		// A response that arrived before the cancel was seen wins: the
+		// server has executed the request (a take consumed its memo), so
+		// dropping the answer would lose it.
+		select {
+		case resp := <-ca.rc:
+			return resp, nil
+		default:
+		}
 		// Tell the server to abandon the in-flight request, which may be
 		// pinning a server thread on a folder wait. Control enqueue: never
-		// parks this already-canceled caller behind the backpressure wait.
+		// parks this already-canceled caller behind the backpressure wait
+		// or a wedged wire.
 		c.out.addControl(wire.BatchEntry{ID: id, Cancel: true})
 		return nil, ErrCanceled
 	case <-c.done:

@@ -8,15 +8,14 @@
 // per channel. Now:
 //
 //   - Conn (client side) assigns every request an id, keeps any number of
-//     calls in flight on one transport.Channel, and coalesces concurrent
-//     small requests into one wire batch frame under a flush policy
-//     (Policy: max batch count, max batch bytes, max linger). Responses
-//     return in completion order and are matched back to callers by id.
+//     calls in flight on one transport.Conn, and coalesces concurrent small
+//     requests into one wire batch frame (Policy: max batch count, max
+//     batch bytes). Responses return in completion order and are matched
+//     back to callers by id.
 //
 //   - Serve (server side) decodes each inbound batch frame, dispatches its
 //     requests concurrently (through a thread-cache Submit), and coalesces
-//     the responses into batched response frames under the same flush
-//     policy. Blocking operations (get on an empty folder, watch) simply
+//     the responses into batched response frames under the same policy. Blocking operations (get on an empty folder, watch) simply
 //     leave their response for a later frame — they never stall the other
 //     requests of their batch.
 //
@@ -25,9 +24,11 @@
 // entry names the in-flight request id, and the server closes that
 // request's cancel channel.
 //
-// The batch frame is the only framing on an rpc channel: a lone request
+// The batch frame is the only framing on an rpc connection: a lone request
 // travels as a one-entry batch, and a non-batch frame is a protocol error
-// that ends the connection.
+// that ends the connection. Every transport carries whole messages, so rpc
+// runs straight on the transport conn; a message over transport.MaxFrame
+// fails its own call (or becomes an error response), never the link.
 package rpc
 
 import (
@@ -38,12 +39,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Flush-policy defaults: linger long enough for concurrent callers to
-// coalesce, short enough to be invisible next to a link round trip.
+// Batch-size defaults.
 const (
 	DefaultMaxCount = 64
 	DefaultMaxBytes = 64 << 10
-	DefaultLinger   = 100 * time.Microsecond
 )
 
 // DefaultHeartbeat is the probe interval client dial helpers use when the
@@ -51,8 +50,8 @@ const (
 // (15s, 3× this) never fires on a healthy-but-silent connection.
 const DefaultHeartbeat = 5 * time.Second
 
-// Policy tunes when a partially filled batch is flushed to the transport.
-// The zero Policy means the defaults. MaxCount = 1 disables coalescing
+// Policy caps the frames a batcher builds. The zero Policy means the
+// defaults. MaxCount = 1 disables coalescing
 // (every message travels in its own frame) and is the "unbatched" baseline
 // in benchmarks.
 type Policy struct {
@@ -60,12 +59,6 @@ type Policy struct {
 	MaxCount int
 	// MaxBytes flushes a batch when its encoded payload reaches this size.
 	MaxBytes int
-	// Linger is the upper bound on how long a queued entry may wait for
-	// companions. The batcher normally drains by backpressure — an entry
-	// arriving on an idle wire is sent at once, and entries queued behind
-	// an in-flight frame are shipped the moment it completes — so this
-	// bound is only reached when a drain signal loses a race.
-	Linger time.Duration
 }
 
 func (p Policy) withDefaults() Policy {
@@ -74,9 +67,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxBytes <= 0 {
 		p.MaxBytes = DefaultMaxBytes
-	}
-	if p.Linger <= 0 {
-		p.Linger = DefaultLinger
 	}
 	return p
 }
@@ -88,7 +78,7 @@ var (
 	// ErrCanceled reports a call abandoned via its cancel channel.
 	ErrCanceled = errors.New("rpc: call canceled")
 	// ErrLinkDown reports a call failed because the underlying link died —
-	// the transport errored, the mux tore down, or the heartbeat deadline
+	// the transport errored or closed, or the heartbeat deadline
 	// expired. Match with errors.Is; the concrete error is a *LinkError
 	// carrying the cause and whether the request had reached the wire.
 	ErrLinkDown = errors.New("rpc: link down")
@@ -105,7 +95,7 @@ type LinkError struct {
 	// the link died. Marked conservatively (just before the frame ships),
 	// so false is a guarantee and true is a maybe.
 	Sent bool
-	// Cause is the terminal link error (transport failure, mux teardown,
+	// Cause is the terminal link error (transport failure or close,
 	// heartbeat expiry).
 	Cause error
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/wire"
 )
 
-// pipe builds a connected client/server channel pair over the in-process
+// pipe builds a connected client/server pair over the in-process
 // transport, with the server side running Serve(h).
 func pipe(t *testing.T, h Handler, submit SubmitFunc, pol Policy) *Conn {
 	t.Helper()
@@ -23,35 +24,29 @@ func pipe(t *testing.T, h Handler, submit SubmitFunc, pol Policy) *Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mux := transport.NewMux(conn, 4096)
-			go mux.Run()
-			go func() {
-				for {
-					ch, err := mux.Accept()
-					if err != nil {
-						return
-					}
-					go Serve(ch, h, submit, pol)
-				}
-			}()
-		}
-	}()
+	go serveLoop(l, h, submit, pol)
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 4096)
-	go mux.Run()
-	t.Cleanup(func() { mux.Close() })
-	c := NewConn(mux.Channel(1), pol)
+	c := NewConn(conn, pol)
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// serveLoop accepts connections on l and drives Serve(h) on each, the way
+// the daemons do.
+func serveLoop(l transport.Listener, h Handler, submit SubmitFunc, pol Policy) {
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			_ = Serve(conn, h, submit, pol)
+			conn.Close()
+		}()
+	}
 }
 
 // echoHandler returns the request payload back.
@@ -148,24 +143,13 @@ func TestBatchingCoalesces(t *testing.T) {
 		if err != nil {
 			return
 		}
-		mux := transport.NewMux(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, 1<<20)
-		go mux.Run()
-		for {
-			ch, err := mux.Accept()
-			if err != nil {
-				return
-			}
-			go Serve(ch, echoHandler, nil, Policy{})
-		}
+		Serve(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, echoHandler, nil, Policy{})
 	}()
 	conn, err := ip.Dial("srv/rpc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, 1<<20)
-	go mux.Run()
-	defer mux.Close()
-	c := NewConn(mux.Channel(1), Policy{})
+	c := NewConn(&slowConn{Conn: conn, delay: wireDelay, sent: &sent}, Policy{})
 	defer c.Close()
 
 	var wg sync.WaitGroup
@@ -181,8 +165,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	wg.Wait()
 
 	// Unbatched, callers requests + callers responses would cross as
-	// 2*callers messages. (Muxed messages map 1:1 to transport messages
-	// at this MTU.)
+	// 2*callers messages.
 	if n := sent.Load(); n >= 2*callers {
 		t.Fatalf("no coalescing: %d messages for %d calls", n, callers)
 	} else {
@@ -275,6 +258,66 @@ func TestCancelUnblocksServer(t *testing.T) {
 	}
 }
 
+// answerFirstConn is a client transport that answers each request before
+// Send returns and then closes the caller's cancel channel, once the
+// response sits in the call's channel — the cancel-after-answer race in
+// its worst interleaving.
+type answerFirstConn struct {
+	c      *Conn
+	cancel chan struct{}
+	in     chan []byte
+}
+
+func (a *answerFirstConn) Send(msg []byte) error {
+	_, entries, err := wire.DecodeBatch(msg)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.Cancel || e.Heartbeat {
+			continue
+		}
+		a.c.mu.Lock()
+		ca := a.c.pending[e.ID]
+		a.c.mu.Unlock()
+		a.in <- wire.AppendBatch(nil, wire.BatchResponse, []wire.BatchEntry{
+			{ID: e.ID, Msg: wire.AppendResponse(nil, wire.OK())},
+		})
+		for len(ca.rc) == 0 {
+			runtime.Gosched()
+		}
+		close(a.cancel)
+	}
+	return nil
+}
+
+func (a *answerFirstConn) Recv() ([]byte, error) {
+	if buf, ok := <-a.in; ok {
+		return buf, nil
+	}
+	return nil, transport.ErrClosed
+}
+
+func (a *answerFirstConn) Close() error       { return nil }
+func (a *answerFirstConn) LocalAddr() string  { return "cli" }
+func (a *answerFirstConn) RemoteAddr() string { return "srv" }
+
+// TestAnsweredCallSurvivesLateCancel: a response that reached the caller
+// before it noticed its cancel is returned, not dropped — for a take, the
+// server already consumed the memo, and ErrCanceled would lose it.
+func TestAnsweredCallSurvivesLateCancel(t *testing.T) {
+	a := &answerFirstConn{in: make(chan []byte, 1)}
+	a.c = NewConnResilient(a, Policy{}, Resilience{})
+	defer a.c.Close()
+	for i := 0; i < 32; i++ {
+		a.cancel = make(chan struct{})
+		resp, err := a.c.Call(&wire.Request{Op: wire.OpGet}, a.cancel)
+		if err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("call %d: %+v %v, want the response that arrived before the cancel", i, resp, err)
+		}
+	}
+}
+
 // TestOneEntryBatchRoundTrip drives Serve with one request per frame, as a
 // lone caller (or a wire-debugging session) would: each call is a one-entry
 // batch, answered in order with a one-entry response batch.
@@ -333,10 +376,10 @@ func TestNonBatchFrameEndsServe(t *testing.T) {
 	}
 }
 
-// rawChannel dials a Serve(h) endpoint and returns the bare mux channel, so
-// a test can write frames no Conn would. When served is non-nil it receives
-// Serve's return value.
-func rawChannel(t *testing.T, h Handler, served chan<- error) *transport.Channel {
+// rawChannel dials a Serve(h) endpoint and returns the bare transport
+// conn, so a test can write frames no Conn would. When served is non-nil it
+// receives Serve's return value.
+func rawChannel(t *testing.T, h Handler, served chan<- error) transport.Conn {
 	t.Helper()
 	ip := transport.NewInProc()
 	l, err := ip.Listen("srv/rpc")
@@ -349,13 +392,7 @@ func rawChannel(t *testing.T, h Handler, served chan<- error) *transport.Channel
 		if err != nil {
 			return
 		}
-		mux := transport.NewMux(conn, 4096)
-		go mux.Run()
-		ch, err := mux.Accept()
-		if err != nil {
-			return
-		}
-		err = Serve(ch, h, nil, Policy{})
+		err = Serve(conn, h, nil, Policy{})
 		if served != nil {
 			served <- err
 		}
@@ -364,10 +401,8 @@ func rawChannel(t *testing.T, h Handler, served chan<- error) *transport.Channel
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(conn, 4096)
-	go mux.Run()
-	t.Cleanup(func() { mux.Close() })
-	return mux.Channel(1)
+	t.Cleanup(func() { conn.Close() })
+	return conn
 }
 
 func TestMalformedBatchEntryGetsErrorResponse(t *testing.T) {
@@ -460,7 +495,7 @@ func TestSubmitThroughThreadCache(t *testing.T) {
 
 func TestPolicyDefaults(t *testing.T) {
 	p := Policy{}.withDefaults()
-	if p.MaxCount != DefaultMaxCount || p.MaxBytes != DefaultMaxBytes || p.Linger != DefaultLinger {
+	if p.MaxCount != DefaultMaxCount || p.MaxBytes != DefaultMaxBytes {
 		t.Fatalf("defaults: %+v", p)
 	}
 	u := Policy{MaxCount: 1}.withDefaults()

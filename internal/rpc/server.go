@@ -26,29 +26,22 @@ type Handler func(q *wire.Request, cancel <-chan struct{}) *wire.Response
 // request. A nil SubmitFunc runs each request on a plain goroutine.
 type SubmitFunc func(fn func(any), arg any) error
 
-// ServerChannel is the connection Serve drives: a transport.Conn with a
-// liveness signal (satisfied by *transport.Channel).
-type ServerChannel interface {
-	transport.Conn
-	Done() <-chan struct{}
-}
-
 // Serve answers requests on one connection until it closes, returning the
 // terminal receive error. Every frame must be a request batch (a lone
 // request is a one-entry batch); anything else is a protocol error that
 // ends Serve unanswered. Requests dispatch concurrently through submit;
-// each response is queued on a response batcher, so replies coalesce into
+// each handler thread queues its response on a response batcher and sends
+// the frame itself when no flush is running, so replies coalesce into
 // batched frames in completion order and a blocked request never delays
-// its batch-mates.
+// its batch-mates. The read loop itself never writes to the wire.
 //
 // Buffer ownership: each received frame arrives in a pooled buffer that
 // every request decoded from it aliases. The frame is reference-counted
 // through dispatch and recycled when the last request of the batch
 // completes — a batch holding one long-blocking folder wait pins at most
 // one frame, never a copy per request.
-func Serve(ch ServerChannel, h Handler, submit SubmitFunc, pol Policy) error {
+func Serve(ch transport.Conn, h Handler, submit SubmitFunc, pol Policy) error {
 	s := &server{
-		ch:       ch,
 		h:        h,
 		submit:   submit,
 		inflight: make(map[uint64]chan struct{}),
@@ -111,7 +104,6 @@ func (fb *frameBuf) release() {
 
 // server is the per-connection serving state.
 type server struct {
-	ch     ServerChannel
 	h      Handler
 	submit SubmitFunc
 	out    *batcher
@@ -170,7 +162,7 @@ func runDispatch(a any) {
 		delete(s.inflight, t.id)
 	}
 	s.mu.Unlock()
-	s.respond(t.id, resp)
+	s.respond(t.id, resp, true)
 	t.fb.release()
 	// owned means no cancel (or shutdown) removed the id first, so t.cc was
 	// never closed and the whole task can recycle. Otherwise the channel is
@@ -187,10 +179,10 @@ func runDispatch(a any) {
 // frame buffer their decoded payload aliases.
 func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 	if e.Heartbeat {
-		// Control enqueue: the read pump must never park behind a response
-		// queue wedged by a non-draining peer, and the echo must not be
-		// dropped behind a saturated-but-draining one — it is the prober's
-		// only proof of life.
+		// Control enqueue: the read loop must never park behind a response
+		// queue or wire wedged by a non-draining peer, and the echo must
+		// not be dropped behind a saturated-but-draining one — it is the
+		// prober's only proof of life.
 		s.out.addControl(wire.BatchEntry{ID: e.ID, Heartbeat: true})
 		mEchoes.Inc()
 		return
@@ -210,7 +202,7 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 	t := dispatchTaskPool.Get().(*dispatchTask)
 	if err := wire.DecodeRequestInto(&t.q, e.Msg); err != nil {
 		recycleTask(t)
-		s.respond(e.ID, wire.Errf("bad request: %v", err))
+		s.respond(e.ID, wire.Errf("bad request: %v", err), false)
 		return
 	}
 	// Re-attach the batch-entry dedup token, trace, and sampled bit; the
@@ -235,7 +227,7 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 		// orphan the first request's cancel channel.
 		s.mu.Unlock()
 		recycleTask(t)
-		s.respond(e.ID, wire.Errf("duplicate request id %d", e.ID))
+		s.respond(e.ID, wire.Errf("duplicate request id %d", e.ID), false)
 		return
 	}
 	s.inflight[e.ID] = t.cc
@@ -253,7 +245,7 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 		delete(s.inflight, e.ID)
 		s.mu.Unlock()
 		fb.release()
-		s.respond(e.ID, wire.Errf("server shutting down"))
+		s.respond(e.ID, wire.Errf("server shutting down"), false)
 	}
 }
 
@@ -261,15 +253,25 @@ func (s *server) dispatch(e wire.BatchEntry, fb *frameBuf) {
 // buffer the batcher recycles once the frame ships. ResponseOverhead bounds
 // the whole message (key and error string included), so the append never
 // outgrows the buffer. Spans collected for a sampled request ship as a
-// flag-gated span blob on the same entry, in their own pooled buffer.
-func (s *server) respond(id uint64, resp *wire.Response) {
+// flag-gated span blob on the same entry, in their own pooled buffer. A
+// response too large for one frame becomes an error response. inline lets
+// the calling handler thread flush; the read loop passes false.
+func (s *server) respond(id uint64, resp *wire.Response, inline bool) {
 	msg := wire.AppendResponse(pool.Get(wire.ResponseOverhead(resp)), resp)
+	var sp []byte
 	if len(resp.Spans) > 0 {
-		sp := wire.AppendSpans(pool.Get(wire.SpansOverhead(resp.Spans)), resp.Spans)
-		s.out.add(wire.BatchEntry{ID: id, Spans: sp, Msg: msg})
-		return
+		sp = wire.AppendSpans(pool.Get(wire.SpansOverhead(resp.Spans)), resp.Spans)
 	}
-	s.out.add(wire.BatchEntry{ID: id, Msg: msg})
+	if !fitsFrame(len(msg) + len(sp)) {
+		n := len(msg) + len(sp)
+		pool.Put(msg)
+		if sp != nil {
+			pool.Put(sp)
+		}
+		sp = nil
+		msg = wire.AppendResponse(nil, wire.Errf("%d-byte response: %v", n, transport.ErrTooLarge))
+	}
+	s.out.add(wire.BatchEntry{ID: id, Spans: sp, Msg: msg}, inline)
 }
 
 // shutdown cancels every in-flight request so blocked handlers unwind, and

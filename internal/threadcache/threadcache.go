@@ -145,12 +145,13 @@ func (p *Pool) SubmitTask(t Task) error {
 }
 
 // worker runs its first task, then parks itself waiting for reuse until the
-// idle timer fires. One handoff channel serves the worker's whole lifetime —
-// parking is free of allocations until the idle timer arms.
+// idle timer fires. One handoff channel and one idle timer serve the
+// worker's whole lifetime, so parking allocates nothing after the first.
 func (p *Pool) worker(first Task) {
 	defer p.live.Done()
 	task := first
 	ch := make(chan Task)
+	var timer *time.Timer // Go 1.23+ timers: Stop/Reset leave no stale tick
 	for {
 		task.run()
 		p.mu.Lock()
@@ -162,7 +163,11 @@ func (p *Pool) worker(first Task) {
 		p.idle = append(p.idle, ch)
 		p.mu.Unlock()
 
-		timer := time.NewTimer(p.cfg.IdleTimeout)
+		if timer == nil {
+			timer = time.NewTimer(p.cfg.IdleTimeout)
+		} else {
+			timer.Reset(p.cfg.IdleTimeout)
+		}
 		select {
 		case task = <-ch:
 			timer.Stop()

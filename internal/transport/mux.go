@@ -38,38 +38,23 @@ const (
 	flagClose = 1 << 1
 )
 
-// MuxHeaderSpace is the worst-case size of a mux packet header (two uvarints
-// plus the flag byte). Callers using SendReserved leave this many bytes of
-// scratch at the front of their buffer; the channel stamps its header into
-// that space and ships header+payload as one slice — no second allocation,
-// no frame copy.
-const MuxHeaderSpace = 2*binary.MaxVarintLen64 + 1
-
-// ReservedSender is satisfied by conns able to stamp their framing into
-// caller-reserved header space (satisfied by *Channel). The rpc batcher uses
-// it to make the encode→wire path copy-free.
-type ReservedSender interface {
-	// SendReserved transmits buf[MuxHeaderSpace:] as one message;
-	// buf[:MuxHeaderSpace] is scratch the sender may overwrite. The caller
-	// keeps ownership of buf once SendReserved returns.
-	SendReserved(buf []byte) error
-}
+// muxHeaderSpace is the worst-case size of a mux packet header (two uvarints
+// plus the flag byte).
+const muxHeaderSpace = 2*binary.MaxVarintLen64 + 1
 
 // ErrMuxClosed reports use of a closed Mux or Channel.
 var ErrMuxClosed = errors.New("transport: mux closed")
 
-// DefaultMTU is the fragment payload the rpc stack muxes with: comfortably
-// above a full default batch frame (rpc.DefaultMaxBytes plus framing), so
-// the common frame ships as a single packet on the zero-copy SendReserved
-// path; only outsized memos fragment.
-const DefaultMTU = 128 << 10
+// defaultMTU is the default fragment payload: comfortably above a full
+// default rpc batch frame, so only outsized memos fragment.
+const defaultMTU = 128 << 10
 
 // NewMux wraps conn with virtual connections. mtu is the maximum fragment
 // payload; messages larger than mtu are fragmented. Start the read pump with
 // Run (usually in a goroutine).
 func NewMux(conn Conn, mtu int) *Mux {
 	if mtu <= 0 {
-		mtu = DefaultMTU
+		mtu = defaultMTU
 	}
 	return &Mux{
 		conn:     conn,
@@ -242,7 +227,7 @@ func (m *Mux) Close() error {
 // is assembled in a pooled buffer (header + payload copy) and recycled once
 // the underlying Send returns — Conn.Send must not retain its argument.
 func (m *Mux) sendPacket(chID, msgID uint64, flags byte, payload []byte) error {
-	buf := pool.Get(MuxHeaderSpace + len(payload))
+	buf := pool.Get(muxHeaderSpace + len(payload))
 	buf = binary.AppendUvarint(buf, chID)
 	buf = binary.AppendUvarint(buf, msgID)
 	buf = append(buf, flags)
@@ -252,13 +237,6 @@ func (m *Mux) sendPacket(chID, msgID uint64, flags byte, payload []byte) error {
 	m.sendMu.Unlock()
 	pool.Put(buf)
 	return err
-}
-
-// sendRaw writes one already-framed packet to the shared connection.
-func (m *Mux) sendRaw(pkt []byte) error {
-	m.sendMu.Lock()
-	defer m.sendMu.Unlock()
-	return m.conn.Send(pkt)
 }
 
 // Channel is one virtual connection over a Mux. It satisfies Conn.
@@ -304,35 +282,6 @@ func (c *Channel) Send(msg []byte) error {
 	return nil
 }
 
-// SendReserved transmits buf[MuxHeaderSpace:] as one message, stamping the
-// packet header into the reserved space when the message fits in one
-// fragment — the same bytes reach the wire as Send would produce, without
-// allocating or copying the frame. Larger messages fall back to the
-// fragmenting path. The caller keeps ownership of buf after return.
-func (c *Channel) SendReserved(buf []byte) error {
-	msg := buf[MuxHeaderSpace:]
-	if len(msg) == 0 || len(msg) > c.mux.mtu {
-		return c.Send(msg)
-	}
-	select {
-	case <-c.done:
-		return ErrMuxClosed
-	default:
-	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	id := c.nextID
-	c.nextID++
-	var hdr [MuxHeaderSpace]byte
-	n := binary.PutUvarint(hdr[:], c.id)
-	n += binary.PutUvarint(hdr[n:], id)
-	hdr[n] = 0 // flags: single fragment
-	n++
-	start := MuxHeaderSpace - n
-	copy(buf[start:], hdr[:n])
-	return c.mux.sendRaw(buf[start:])
-}
-
 // Recv blocks for the next complete message.
 func (c *Channel) Recv() ([]byte, error) {
 	select {
@@ -374,8 +323,7 @@ func (c *Channel) Close() error {
 func (c *Channel) ID() uint64 { return c.id }
 
 // Done returns a channel closed when this virtual connection dies (either
-// side closed it, or the Mux tore down). Servers use it to cancel blocking
-// operations whose client has gone away.
+// side closed it, or the Mux tore down).
 func (c *Channel) Done() <-chan struct{} { return c.done }
 
 // LocalAddr implements Conn.

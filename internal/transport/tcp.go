@@ -19,10 +19,11 @@ type TCP struct {
 	// IdleTimeout, when positive, arms a read deadline on every Recv: a
 	// connection that stays silent for the whole window fails with
 	// ErrIdleTimeout instead of wedging its reader forever behind a dead
-	// peer. The error propagates like any Recv failure — a Mux read pump
-	// tears down and Mux.Run returns it. Zero keeps reads unbounded
-	// (blocking folder waits can legitimately leave a connection quiet;
-	// enable the timeout where traffic — or rpc pings — is guaranteed).
+	// peer. The error propagates like any Recv failure — the rpc read
+	// loop (or a Mux read pump) tears down and reports it. Zero keeps
+	// reads unbounded (blocking folder waits can legitimately leave a
+	// connection quiet; enable the timeout where traffic — or rpc pings —
+	// is guaranteed).
 	IdleTimeout time.Duration
 	// KeepAlivePeriod tunes TCP-level keep-alive probes on dialed and
 	// accepted connections (0 = the kernel/runtime default).
@@ -79,9 +80,15 @@ func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
 // tcpConn frames messages as 4-byte big-endian length + payload.
 type tcpConn struct {
-	nc      net.Conn
-	idle    time.Duration
-	sendMu  sync.Mutex
+	nc     net.Conn
+	idle   time.Duration
+	sendMu sync.Mutex
+	// hdr, vec and bufs are Send's scratch (guarded by sendMu): the length
+	// prefix and the payload leave in one writev, and reusing the vector
+	// keeps that write allocation-free.
+	hdr     [4]byte
+	vec     [2][]byte
+	bufs    net.Buffers
 	recvMu  sync.Mutex
 	readBuf [4]byte
 }
@@ -104,12 +111,13 @@ func (c *tcpConn) Send(msg []byte) error {
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.nc.Write(msg)
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(msg)))
+	c.vec[0], c.vec[1] = c.hdr[:], msg
+	c.bufs = c.vec[:]
+	// One write per frame: with TCP_NODELAY, separate prefix and payload
+	// writes would be two segments and two reader wake-ups. WriteTo
+	// consumes bufs and nils its entries, so msg is not retained.
+	_, err := c.bufs.WriteTo(c.nc)
 	return err
 }
 
@@ -123,9 +131,9 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	if n > MaxFrame {
 		return nil, ErrTooLarge
 	}
-	// Pooled, not a per-conn scratch buffer: the mux read pump delivers
-	// received messages (aliased) to channels consumed asynchronously, so
-	// the buffer's ownership must transfer out of the reader — the final
+	// Pooled, not a per-conn scratch buffer: requests the rpc server
+	// decodes from a frame alias it until their handlers finish, so the
+	// buffer's ownership must transfer out of the reader — the final
 	// consumer recycles it with pool.Put.
 	msg := pool.Get(int(n))[:n]
 	if err := c.readFullIdle(msg); err != nil {
@@ -165,7 +173,7 @@ func (c *tcpConn) readFullIdle(buf []byte) error {
 }
 
 // recvErr normalizes read failures: clean EOFs become ErrClosed, deadline
-// expiries become ErrIdleTimeout (wrapped with the cause) so Mux.Run
+// expiries become ErrIdleTimeout (wrapped with the cause) so the reader's
 // teardown reports why the connection died.
 func (c *tcpConn) recvErr(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {

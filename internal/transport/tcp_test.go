@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/pool"
 )
 
 // TestTCPIdleTimeout verifies a silent peer trips the read deadline instead
@@ -143,5 +146,63 @@ func TestTCPNoIdleTimeoutByDefault(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("late message never received")
+	}
+}
+
+// TestTCPSendFramesAllocFree: Send ships the length prefix and payload in
+// one vectored write with reused scratch, so the send path allocates
+// nothing, and frames of any size arrive intact on the other end.
+func TestTCPSendFramesAllocFree(t *testing.T) {
+	l, err := NewTCP().Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	cli, err := NewTCP().Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	srv := <-accepted
+	defer srv.Close()
+
+	for _, n := range []int{0, 1, 1500, 200 << 10} {
+		msg := bytes.Repeat([]byte{byte(n)}, n)
+		if err := cli.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.Recv()
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("%d-byte frame: got %d bytes, err %v", n, len(got), err)
+		}
+	}
+
+	received := make(chan struct{})
+	go func() {
+		defer close(received)
+		for {
+			buf, err := srv.Recv()
+			if err != nil {
+				return
+			}
+			pool.Put(buf)
+		}
+	}()
+	msg := make([]byte, 256)
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := cli.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cli.Close()
+	<-received
+	if allocs > 0.1 {
+		t.Fatalf("Send allocates %.2f/op, want 0", allocs)
 	}
 }

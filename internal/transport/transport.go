@@ -34,7 +34,7 @@ var (
 )
 
 // MaxFrame is the largest single framed message accepted by any transport.
-// The Mux fragments larger payloads.
+// The rpc layer rejects larger messages per call; the Mux fragments them.
 const MaxFrame = 16 << 20
 
 // Conn is a bidirectional message connection.

@@ -121,9 +121,9 @@ func IsBatchFrame(buf []byte) bool {
 
 // AppendBatch serializes a batch frame onto dst (which is returned, possibly
 // reallocated; nil allocates a fresh frame) — the encode-in-place encoder:
-// the rpc batcher appends into a pooled buffer with the mux channel header's
-// worst-case space reserved up front, so the frame never moves again between
-// encoder and wire. The bytes appended do not depend on dst's prefix.
+// the rpc batcher appends into a pooled buffer sized by BatchOverhead and
+// hands that buffer straight to the transport. The bytes appended do not
+// depend on dst's prefix.
 //
 //memolint:returns-buffer
 func AppendBatch(dst []byte, kind BatchKind, entries []BatchEntry) []byte {

@@ -72,7 +72,7 @@ func FuzzAppendEncoders(f *testing.F) {
 	}
 	f.Add(AppendBatch(nil, BatchRequest, []BatchEntry{{ID: 1, Token: 7, Msg: EncodeRequest(&Request{Op: OpPing})}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		prefix := []byte("0123456789abcdefghijk") // ~MuxHeaderSpace of reserved scratch
+		prefix := []byte("0123456789abcdefghijk") // an arbitrary existing prefix
 		if q, err := DecodeRequest(data); err == nil {
 			want := EncodeRequest(q)
 			got := AppendRequest(append([]byte(nil), prefix...), q)

@@ -201,7 +201,7 @@ func readyAddr(t *testing.T, path string) string {
 	return strings.TrimSpace(line)
 }
 
-// rawDo sends one wire request over a fresh TCP mux channel as a one-entry
+// rawDo sends one wire request over a fresh TCP connection as a one-entry
 // rpc batch — the framing every client, in any language, speaks.
 func rawDo(t *testing.T, addr string, q *wire.Request) *wire.Response {
 	t.Helper()
@@ -209,10 +209,7 @@ func rawDo(t *testing.T, addr string, q *wire.Request) *wire.Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := transport.NewMux(conn, transport.DefaultMTU)
-	go mux.Run()
-	defer mux.Close()
-	c := rpc.NewConn(mux.Channel(1), rpc.Policy{})
+	c := rpc.NewConn(conn, rpc.Policy{})
 	defer c.Close()
 	resp, err := c.Call(q, nil)
 	if err != nil {
